@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import read_record
+
 
 class AttackKind:
     FGSM = "fgsm"
@@ -245,11 +247,10 @@ def save_batch(path, batch: AdversarialBatch) -> None:
 
 
 def load_batch(path) -> AdversarialBatch:
-    raw = open(path, "rb").read()
-    sep = raw.find(b"\n\n")
-    if sep < 0:
-        raise ValueError(f"adversarial batch {path} has no header")
-    fields = dict(line.split("=", 1) for line in raw[:sep].decode().splitlines())
+    fields, body = read_record(
+        path,
+        ("kind", "epsilon", "step_size", "iterations", "momentum", "source_fingerprint", "count", "height", "width"),
+    )
     n, h, w = int(fields["count"]), int(fields["height"]), int(fields["width"])
     spec = AttackSpec(
         kind=fields["kind"],
@@ -258,7 +259,6 @@ def load_batch(path) -> AdversarialBatch:
         iterations=int(fields["iterations"]) if fields["iterations"] else None,
         momentum=float(fields["momentum"]) if fields["momentum"] else None,
     )
-    body = raw[sep + 2 :]
     per_image = h * w
     expected = 2 * n * per_image * 8
     if len(body) != expected:

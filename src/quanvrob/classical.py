@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .patches import from_patches, to_patches
+
 N_FILTERS = 4
 KERNEL = 2
-STRIDE = 2
 N_CLASSES = 10
 
 
@@ -33,20 +34,10 @@ def build_conv_layer(seed: int) -> ConvLayer:
     return ConvLayer(kernels=kernels, bias=np.zeros(N_FILTERS), seed=int(seed))
 
 
-def _patch_matrix(image: np.ndarray) -> np.ndarray:
-    h, w = image.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"image sides must be even, got {image.shape}")
-    hp, wp = h // 2, w // 2
-    return image.reshape(hp, 2, wp, 2).transpose(0, 2, 1, 3).reshape(hp * wp, 4)
-
-
 def conv_preactivation(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
     image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {image.shape}")
+    patches = to_patches(image)
     hp, wp = image.shape[0] // 2, image.shape[1] // 2
-    patches = _patch_matrix(image)
     pre = patches @ layer.kernels.reshape(N_FILTERS, -1).T + layer.bias
     return pre.reshape(hp, wp, N_FILTERS)
 
@@ -70,7 +61,7 @@ def conv_input_gradient(
     masked = upstream * (forward_activations > 0.0)
     # (hp, wp, filters) x (filters, 4) -> per-patch pixel gradients
     grad_patch = masked.reshape(-1, N_FILTERS) @ layer.kernels.reshape(N_FILTERS, -1)
-    return grad_patch.reshape(hp, wp, 2, 2).transpose(0, 2, 1, 3).reshape(2 * hp, 2 * wp)
+    return from_patches(grad_patch, hp, wp)
 
 
 class ConvExtractor:
@@ -131,18 +122,20 @@ def dense_forward(features: np.ndarray, head: DenseHead) -> np.ndarray:
     return softmax(head.weights @ flat + head.bias)
 
 
-def loss_and_grads(head: DenseHead, probs: np.ndarray, label: int, features: np.ndarray):
-    """Cross-entropy -log p[label] and its gradients (dW, db, dfeatures)."""
+def cross_entropy(probs: np.ndarray, label: int):
+    """Cross-entropy -log p[label] and its gradient with respect to the logits."""
     if not 0 <= label < N_CLASSES:
         raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label}")
-    flat = np.asarray(features, dtype=float).reshape(-1)
-    loss = -np.log(probs[label])
     dlogits = probs.copy()
     dlogits[label] -= 1.0
-    d_weights = np.outer(dlogits, flat)
-    d_bias = dlogits
-    d_features = head.weights.T @ dlogits
-    return float(loss), d_weights, d_bias, d_features
+    return float(-np.log(probs[label])), dlogits
+
+
+def loss_and_grads(head: DenseHead, probs: np.ndarray, label: int, features: np.ndarray):
+    """Cross-entropy -log p[label] and its gradients (dW, db, dfeatures)."""
+    loss, dlogits = cross_entropy(probs, label)
+    flat = np.asarray(features, dtype=float).reshape(-1)
+    return loss, np.outer(dlogits, flat), dlogits, head.weights.T @ dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +204,32 @@ def save_checkpoint(path, kind: str, extractor_seed: int, extractor_fingerprint:
         fh.write(head.bias.astype("<f8").tobytes(order="C"))
 
 
-def load_checkpoint(path):
-    raw = open(path, "rb").read()
+def read_record(path, required):
+    """Split a text-header file into its ``key=value`` fields and its binary body.
+
+    Raises ``ValueError`` naming the file and the problem when the header is
+    missing, a header line has no ``=``, or a ``required`` field is absent.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     sep = raw.find(b"\n\n")
     if sep < 0:
-        raise ValueError(f"checkpoint {path} has no header")
+        raise ValueError(f"{path} has no header")
     fields = {}
     for line in raw[:sep].decode().splitlines():
+        if "=" not in line:
+            raise ValueError(f"{path} has a malformed header line {line!r}")
         key, value = line.split("=", 1)
         fields[key] = value
+    for name in required:
+        if name not in fields:
+            raise ValueError(f"{path} header is missing the field {name!r}")
+    return fields, raw[sep + 2 :]
+
+
+def load_checkpoint(path):
+    fields, body = read_record(path, ("kind", "extractor_seed", "extractor_fingerprint", "in_dim"))
     in_dim = int(fields["in_dim"])
-    body = raw[sep + 2 :]
     expected = 8 * (N_CLASSES * in_dim + N_CLASSES)
     if len(body) != expected:
         raise ValueError(f"checkpoint {path} body has {len(body)} bytes, expected {expected}")

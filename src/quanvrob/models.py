@@ -8,7 +8,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .classical import DenseHead, dense_forward, loss_and_grads
+from .classical import DenseHead, cross_entropy, dense_forward, loss_and_grads
 
 
 class FeatureExtractor(Protocol):
@@ -51,8 +51,7 @@ class Model:
         return int(np.argmax(self.predict_probs(image)))
 
     def loss(self, image: np.ndarray, label: int) -> float:
-        probs = self.predict_probs(image)
-        return float(-np.log(probs[label]))
+        return cross_entropy(self.predict_probs(image), label)[0]
 
     def loss_and_input_gradient(self, image: np.ndarray, label: int):
         """Cross-entropy loss and its exact gradient w.r.t. the input pixels."""

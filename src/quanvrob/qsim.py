@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,17 +45,6 @@ _TARGET_COUNT = {
     GateKind.RZ: 1,
     GateKind.ROT: 1,
     GateKind.ZZ: 2,
-}
-
-# Two-term shift rule (shift, coefficient) per gate kind.  The single-qubit
-# rotations have generators with eigenvalues +-1/2; Z@Z has eigenvalues +-1,
-# which halves the shift and doubles the coefficient.
-_SHIFT_RULE = {
-    GateKind.RX: (np.pi / 2, 0.5),
-    GateKind.RY: (np.pi / 2, 0.5),
-    GateKind.RZ: (np.pi / 2, 0.5),
-    GateKind.ROT: (np.pi / 2, 0.5),
-    GateKind.ZZ: (np.pi / 4, 1.0),
 }
 
 
@@ -215,31 +204,3 @@ def measure_z(state: StateVector, qubit: int) -> float:
     value = float(np.dot(signs, np.abs(state.amps) ** 2))
     # |value| can exceed 1 by ~1e-16 from rounding; the contract is [-1, 1].
     return float(np.clip(value, -1.0, 1.0))
-
-
-def shift_derivative(
-    gates: Sequence[Gate],
-    gate_index: int,
-    angle_index: int,
-    qubit: int,
-    n_qubits: int,
-) -> float:
-    """Exact derivative of <Z_qubit> w.r.t. one gate angle via the two-term
-    shift rule, with the program run from |0...0> on ``n_qubits`` qubits."""
-    gates = list(gates)
-    if not 0 <= gate_index < len(gates):
-        raise ValueError(f"gate index {gate_index} out of range")
-    gate = gates[gate_index]
-    if not 0 <= angle_index < len(gate.angles):
-        raise ValueError(
-            f"angle index {angle_index} out of range for {gate.kind.value}"
-        )
-    shift, coeff = _SHIFT_RULE[gate.kind]
-    theta = gate.angles[angle_index]
-
-    def run_at(value: float) -> float:
-        shifted = list(gates)
-        shifted[gate_index] = gate.with_angle(angle_index, value)
-        return measure_z(run_program(init_zero(n_qubits), shifted), qubit)
-
-    return (run_at(theta + shift) - run_at(theta - shift)) * coeff

@@ -1,109 +1,56 @@
 """Quanvolutional feature extraction.
 
-An even-sided grayscale image is cut into 2x2 patches at stride 2.  Each
-patch is angle-encoded onto 4 qubits (pixel p -> Ry(pi*p), row-major within
-the patch: top-left -> qubit 0, top-right -> 1, bottom-left -> 2,
-bottom-right -> 3), the fixed filter circuit is applied, and the Pauli-Z
-expectation of qubit k becomes channel k of the output map.  A 28x28 image
-therefore produces a 14x14x4 feature map with entries in [-1, 1].
+An even-sided grayscale image is cut into 2x2 patches at stride 2 (see
+:mod:`quanvrob.patches`).  Pixel q of a patch, row-major (top-left -> qubit
+0, top-right -> 1, bottom-left -> 2, bottom-right -> 3), is angle-encoded as
+Ry(theta_q)|0> with theta_q = pi * p_q, the fixed filter circuit U is
+applied, and the Pauli-Z expectation of qubit k becomes channel k of the
+output map.  A 28x28 image therefore produces a 14x14x4 feature map with
+entries in [-1, 1].
 
-The hot path evaluates all patches of an image at once: the filter circuit
-is folded into a dense 16x16 unitary (built gate-by-gate from qsim), patch
-encodings are product states assembled by broadcasting, and expectations
-reduce to one matrix product per image.  Input gradients are exact via the
-two-term shift rule applied to the encoding angles.
+The filter is compiled once, when the extractor is built, into a real table.
+Each encoded qubit has the density matrix (I + sin(theta) X + cos(theta) Z) / 2,
+so expanding U^dag Z_k U in Pauli strings gives (Schuld, Sweke & Meyer 2021,
+arXiv:2008.08605)
+
+    <Z_k> = sum over s in {I, X, Z}^4 of  c[s, k] * prod_q r_{s_q}(theta_q),
+    r(theta) = (r_I, r_X, r_Z) = (1, sin theta, cos theta),
+    c[s, k] = Tr(P_s0 x P_s1 x P_s2 x P_s3 . U^dag Z_k U) / 16.
+
+Strings holding Y drop out because <Y> = 0 on every encoded qubit.  The
+table ``QuanvExtractor.table`` holds c with shape (3, 3, 3, 3, 4): axis q is
+qubit q's Pauli in the order (I, X, Z), the last axis is the channel k.  The
+forward pass contracts it with r(theta_q) one qubit at a time, qubit 0
+first.  The exact derivative of <Z_k> with respect to theta_q swaps qubit
+q's factor for r'(theta) = (0, cos theta, -sin theta); the pixel gradient
+carries a further factor pi.  The gate-level simulator ``qsim`` only builds
+the 16x16 unitary U for the compiler; no complex number is touched after
+that.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import Ansatz
-from .qsim import StateVector, init_zero, run_program, ry
+from .patches import from_patches, to_patches
+from .qsim import StateVector, run_program
 
-PATCH = 2
-STRIDE = 2
-N_QUBITS = PATCH * PATCH
+N_QUBITS = 4
 
-
-@dataclass(frozen=True)
-class Patch:
-    values: tuple[float, ...]
-    origin: tuple[int, int]
+# I, X and Z: the Pauli matrices whose expectation on Ry(theta)|0> is
+# 1, sin(theta) and cos(theta), in the table's axis order
+_PAULIS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
 
 
 def _check_image(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {image.shape}")
-    if np.min(image) < 0.0 or np.max(image) > 1.0:
-        raise ValueError("image pixels must lie in [0, 1]")
+    # written so that NaN fails the comparison
+    if not np.all((image >= 0.0) & (image <= 1.0)):
+        raise ValueError("image pixels must be finite and lie in [0, 1]")
     return image
-
-
-def extract_patches(image: np.ndarray, n: int = PATCH, stride: int = STRIDE) -> list[Patch]:
-    """Row-major scan of n x n patches; with n = stride every pixel appears once."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {image.shape}")
-    h, w = image.shape
-    if (h - n) % stride or (w - n) % stride or h < n or w < n:
-        raise ValueError(f"image shape {image.shape} incompatible with n={n}, stride={stride}")
-    patches = []
-    for i in range(0, h - n + 1, stride):
-        for j in range(0, w - n + 1, stride):
-            block = image[i : i + n, j : j + n].reshape(-1)
-            patches.append(Patch(tuple(float(v) for v in block), (i, j)))
-    return patches
-
-
-def encode_patch(patch: Patch) -> StateVector:
-    """Product state Ry(pi * pixel_q)|0> on each of the four qubits."""
-    values = np.asarray(patch.values, dtype=float)
-    if values.size != N_QUBITS:
-        raise ValueError(f"patch must hold {N_QUBITS} values, got {values.size}")
-    if np.min(values) < 0.0 or np.max(values) > 1.0:
-        raise ValueError("patch values must lie in [0, 1]")
-    gates = [ry(q, np.pi * values[q]) for q in range(N_QUBITS)]
-    return run_program(init_zero(N_QUBITS), gates)
-
-
-def _patch_matrix(image: np.ndarray) -> np.ndarray:
-    """All 2x2/stride-2 patches as rows of an (H'*W', 4) array."""
-    h, w = image.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"image sides must be even, got {image.shape}")
-    hp, wp = h // 2, w // 2
-    return image.reshape(hp, 2, wp, 2).transpose(0, 2, 1, 3).reshape(hp * wp, 4)
-
-
-def _encoding_factors(thetas: np.ndarray) -> np.ndarray:
-    """Single-qubit Ry(theta)|0> factors, shape (..., 2)."""
-    half = thetas / 2.0
-    return np.stack([np.cos(half), np.sin(half)], axis=-1).astype(np.complex128)
-
-
-def _product_states(factors: np.ndarray) -> np.ndarray:
-    """(P, 4, 2) per-qubit factors -> (P, 16) amplitudes, qubit 0 most significant."""
-    p = factors.shape[0]
-    states = np.einsum(
-        "pa,pb,pc,pd->pabcd",
-        factors[:, 0],
-        factors[:, 1],
-        factors[:, 2],
-        factors[:, 3],
-    )
-    return states.reshape(p, 16)
-
-
-def _z_sign_table(n_qubits: int) -> np.ndarray:
-    idx = np.arange(2**n_qubits)
-    return np.stack(
-        [1.0 - 2.0 * ((idx >> (n_qubits - 1 - q)) & 1) for q in range(n_qubits)]
-    )
 
 
 def _ansatz_unitary(ansatz: Ansatz) -> np.ndarray:
@@ -117,6 +64,30 @@ def _ansatz_unitary(ansatz: Ansatz) -> np.ndarray:
     return unitary
 
 
+def _pauli_table(unitary: np.ndarray) -> np.ndarray:
+    """Coefficients c[s0, s1, s2, s3, k] of U^dag Z_k U on the I, X, Z strings."""
+    bits = np.arange(2**N_QUBITS) >> (N_QUBITS - 1 - np.arange(N_QUBITS)[:, None])
+    z_signs = 1.0 - 2.0 * (bits & 1)  # (k, basis index), qubit 0 most significant
+    # U^dag Z_k U is Hermitian, so its imaginary part is antisymmetric and
+    # vanishes against the real symmetric I, X, Z strings
+    heisenberg = np.einsum("ai,ka,aj->kij", unitary.conj(), z_signs, unitary).real
+    heisenberg = heisenberg.reshape((N_QUBITS,) + (2,) * (2 * N_QUBITS))
+    # Tr(P O) = sum_ij P[i, j] O[i, j] for symmetric P; i..l and m..p are the
+    # row and column bits of qubits 0..3, a..d their Pauli and x the channel
+    table = np.einsum(
+        "aim,bjn,cko,dlp,xijklmnop->abcdx",
+        _PAULIS, _PAULIS, _PAULIS, _PAULIS, heisenberg,
+        optimize=True,
+    )
+    return table / 2**N_QUBITS
+
+
+def _factors(thetas: np.ndarray) -> np.ndarray:
+    """r(theta) = (1, sin theta, cos theta) per qubit and patch, shape (4, P, 3)."""
+    t = thetas.T
+    return np.stack([np.ones_like(t), np.sin(t), np.cos(t)], axis=-1)
+
+
 class QuanvExtractor:
     """Frozen quanvolutional feature extractor for one filter circuit."""
 
@@ -126,32 +97,35 @@ class QuanvExtractor:
         self.ansatz = ansatz
         self.kind = f"qunn_{ansatz.kind.value}"
         self.seed = ansatz.seed
-        self._unitary_t = _ansatz_unitary(ansatz).T.copy()
-        self._z_signs_t = _z_sign_table(N_QUBITS).T.copy()
+        self.table = _pauli_table(_ansatz_unitary(ansatz))
 
     @property
     def fingerprint(self) -> str:
         return self.ansatz.fingerprint()
 
-    def _expectations(self, factors: np.ndarray) -> np.ndarray:
-        states = _product_states(factors)
-        phi = states @ self._unitary_t
-        return (np.abs(phi) ** 2) @ self._z_signs_t
+    def _readout(self, factors) -> np.ndarray:
+        """Contract the table with one (P, 3) factor per qubit, qubit 0 first: (P, 4)."""
+        n = factors[0].shape[0]
+        out = factors[0] @ self.table.reshape(3, -1)
+        for f in factors[1:]:
+            out = np.einsum("pa,pab->pb", f, out.reshape(n, 3, -1))
+        return out
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         image = _check_image(image)
+        factors = _factors(np.pi * to_patches(image))
         hp, wp = image.shape[0] // 2, image.shape[1] // 2
-        factors = _encoding_factors(np.pi * _patch_matrix(image))
-        return self._expectations(factors).reshape(hp, wp, N_QUBITS)
+        # rounding can take |<Z_k>| past 1 by ~1e-16; the contract is [-1, 1]
+        return np.clip(self._readout(factors), -1.0, 1.0).reshape(hp, wp, N_QUBITS)
 
     def input_gradient(self, image: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Pixel gradient for a given feature-map cotangent.
 
         Each pixel drives exactly one encoding angle of one patch, so the
-        chain rule reduces to pi * sum_k upstream_k * d<Z_k>/d(theta_q),
-        with the angle derivative evaluated by the +-pi/2 shift rule.
+        chain rule reduces to pi * sum_k upstream_k * d<Z_k>/d(theta_q).
         """
         image = _check_image(image)
+        factors = _factors(np.pi * to_patches(image))
         hp, wp = image.shape[0] // 2, image.shape[1] // 2
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (hp, wp, N_QUBITS):
@@ -159,27 +133,13 @@ class QuanvExtractor:
                 f"upstream shape {upstream.shape} does not match feature map "
                 f"{(hp, wp, N_QUBITS)}"
             )
-        thetas = np.pi * _patch_matrix(image)
-        base = _encoding_factors(thetas)
         up = upstream.reshape(-1, N_QUBITS)
-        grad_patch = np.empty_like(thetas)
+        derivatives = factors[..., [0, 2, 1]] * (0.0, 1.0, -1.0)  # (0, cos, -sin)
+        grad_patch = np.empty((hp * wp, N_QUBITS))
         for q in range(N_QUBITS):
-            shifted = base.copy()
-            shifted[:, q] = _encoding_factors(thetas[:, q] + np.pi / 2)
-            e_plus = self._expectations(shifted)
-            shifted[:, q] = _encoding_factors(thetas[:, q] - np.pi / 2)
-            e_minus = self._expectations(shifted)
-            dz_dtheta = 0.5 * (e_plus - e_minus)  # (P, channels)
-            grad_patch[:, q] = np.pi * np.sum(up * dz_dtheta, axis=1)
-        return grad_patch.reshape(hp, wp, 2, 2).transpose(0, 2, 1, 3).reshape(image.shape)
-
-
-def quanv_forward(image: np.ndarray, ansatz: Ansatz) -> np.ndarray:
-    return QuanvExtractor(ansatz).forward(image)
-
-
-def quanv_input_gradient(image: np.ndarray, ansatz: Ansatz, upstream: np.ndarray) -> np.ndarray:
-    return QuanvExtractor(ansatz).input_gradient(image, upstream)
+            swapped = [derivatives[q] if i == q else factors[i] for i in range(N_QUBITS)]
+            grad_patch[:, q] = np.pi * np.sum(up * self._readout(swapped), axis=1)
+        return from_patches(grad_patch, hp, wp)
 
 
 # ---------------------------------------------------------------------------

@@ -348,3 +348,18 @@ def test_batch_rejects_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(ValueError):
         load_batch(path)
+
+
+def test_batch_rejects_malformed_header(tmp_path):
+    model = make_cnn_model(seed=13)
+    images = np.random.default_rng(13).random((2, 8, 8))
+    batch = make_batch(model, images, np.zeros(2, dtype=int), make_spec(AttackKind.FGSM, 0.1))
+    path = tmp_path / "batch.advb"
+    save_batch(path, batch)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"height=8\n", b""))
+    with pytest.raises(ValueError, match="height"):
+        load_batch(path)
+    path.write_bytes(raw.replace(b"height=8\n", b"height 8\n"))
+    with pytest.raises(ValueError, match="height 8"):
+        load_batch(path)

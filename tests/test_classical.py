@@ -315,3 +315,16 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_header(tmp_path):
+    head = build_dense_head(seed=11, in_dim=16)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "cnn", 11, "f" * 64, head)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"extractor_seed=11\n", b""))
+    with pytest.raises(ValueError, match="extractor_seed"):
+        load_checkpoint(path)
+    path.write_bytes(raw.replace(b"extractor_seed=11\n", b"extractor_seed 11\n"))
+    with pytest.raises(ValueError, match="extractor_seed 11"):
+        load_checkpoint(path)

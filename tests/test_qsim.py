@@ -20,7 +20,6 @@ from quanvrob.qsim import (
     rx,
     ry,
     rz,
-    shift_derivative,
     zz,
 )
 
@@ -100,18 +99,6 @@ def random_program(rng, n, length):
             ctor = {"rx": rx, "ry": ry, "rz": rz}[kind]
             gates.append(ctor(int(rng.integers(n)), rng.uniform(0, 2 * np.pi)))
     return gates
-
-
-def finite_difference(gates, gate_index, angle_index, qubit, n, h=1e-5):
-    gate = gates[gate_index]
-    theta = gate.angles[angle_index]
-
-    def run_at(value):
-        shifted = list(gates)
-        shifted[gate_index] = gate.with_angle(angle_index, value)
-        return measure_z(run_program(init_zero(n), shifted), qubit)
-
-    return (run_at(theta + h) - run_at(theta - h)) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -270,49 +257,3 @@ def test_global_phase_invisible_to_measure_z():
     shifted = qsim.StateVector(3, state.amps * np.exp(1j * 0.4321))
     for q in range(3):
         assert measure_z(shifted, q) == pytest.approx(measure_z(state, q), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# shift_derivative
-# ---------------------------------------------------------------------------
-
-
-def test_shift_derivative_stationary_point():
-    assert shift_derivative([ry(0, 0.0)], 0, 0, 0, 1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_shift_derivative_at_quarter_turn():
-    # d/dt cos(t) at t = pi/2 is -1; double-checked against finite differences.
-    gates = [ry(0, np.pi / 2)]
-    assert shift_derivative(gates, 0, 0, 0, 1) == pytest.approx(-1.0, abs=1e-12)
-    assert finite_difference(gates, 0, 0, 0, 1) == pytest.approx(-1.0, abs=1e-6)
-
-
-def test_shift_derivative_matches_finite_difference():
-    rng = np.random.default_rng(41)
-    checked = 0
-    while checked < 120:
-        n = int(rng.integers(1, 5))
-        gates = random_program(rng, n, int(rng.integers(1, 10)))
-        gate_index = int(rng.integers(len(gates)))
-        angle_index = int(rng.integers(len(gates[gate_index].angles)))
-        qubit = int(rng.integers(n))
-        analytic = shift_derivative(gates, gate_index, angle_index, qubit, n)
-        numeric = finite_difference(gates, gate_index, angle_index, qubit, n)
-        assert analytic == pytest.approx(numeric, abs=1e-6)
-        checked += 1
-
-
-def test_shift_derivative_zz_angle():
-    gates = [ry(0, np.pi / 2), ry(1, np.pi / 2), zz(0, 1, 0.3)]
-    analytic = shift_derivative(gates, 2, 0, 0, 2)
-    numeric = finite_difference(gates, 2, 0, 0, 2)
-    assert analytic == pytest.approx(numeric, abs=1e-6)
-
-
-def test_shift_derivative_rejects_bad_indices():
-    gates = [ry(0, 0.3)]
-    with pytest.raises(ValueError):
-        shift_derivative(gates, 1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        shift_derivative(gates, 0, 1, 0, 1)

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quanvrob.ansatz import AnsatzKind, build_ansatz, with_angles
-from quanvrob.quanv import (
-    Patch,
-    QuanvExtractor,
-    encode_patch,
-    extract_patches,
-    quanv_forward,
-    quanv_input_gradient,
-    read_feature_cache,
-    write_feature_cache,
-)
-from quanvrob.qsim import measure_z
+from quanvrob import qsim
+from quanvrob.ansatz import Ansatz, AnsatzKind, angles_of, build_ansatz, with_angles
+from quanvrob.qsim import rot, zz
+from quanvrob.quanv import QuanvExtractor, read_feature_cache, write_feature_cache
 
 from test_qsim import oracle_unitary  # independent Kronecker-matrix oracle
 
@@ -21,179 +15,261 @@ def random_image(rng, shape=(28, 28)):
     return rng.random(shape)
 
 
+def identity_extractor():
+    return QuanvExtractor(with_angles(build_ansatz(AnsatzKind.NO_ENT, 4, seed=1), np.zeros(12)))
+
+
 # ---------------------------------------------------------------------------
-# extract_patches
+# Kronecker-matrix oracle: no qsim simulation, no patch helpers
+# ---------------------------------------------------------------------------
+
+_Z_SIGNS = np.array(
+    [[1.0 if ((i >> (3 - q)) & 1) == 0 else -1.0 for i in range(16)] for q in range(4)]
+)
+
+
+def oracle_readout(ansatz, thetas):
+    """<Z_k> for the encoding angles ``thetas`` (qubit order) followed by the circuit."""
+    program = [qsim.ry(q, thetas[q]) for q in range(4)] + list(ansatz.gates)
+    state = oracle_unitary(program, 4)[:, 0]
+    return _Z_SIGNS @ np.abs(state) ** 2
+
+
+def oracle_patch(ansatz, pixels):
+    """Readout of one patch (row-major pixels) and d<Z_k>/d pixel_q as (q, k).
+
+    The derivative is the exact two-term shift of Ry(theta) = exp(-i theta Y / 2)
+    times d(theta)/d(pixel) = pi.
+    """
+    thetas = np.pi * np.asarray(pixels, dtype=float)
+    dz = np.empty((4, 4))
+    for q in range(4):
+        plus, minus = thetas.copy(), thetas.copy()
+        plus[q] += np.pi / 2
+        minus[q] -= np.pi / 2
+        dz[q] = np.pi * 0.5 * (oracle_readout(ansatz, plus) - oracle_readout(ansatz, minus))
+    return oracle_readout(ansatz, thetas), dz
+
+
+def oracle_feature_map(image, ansatz):
+    hp, wp = image.shape[0] // 2, image.shape[1] // 2
+    out = np.zeros((hp, wp, 4))
+    for i in range(hp):
+        for j in range(wp):
+            out[i, j] = oracle_patch(ansatz, image[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].ravel())[0]
+    return out
+
+
+def oracle_input_gradient(image, ansatz, upstream):
+    grad = np.zeros_like(image)
+    for i in range(image.shape[0] // 2):
+        for j in range(image.shape[1] // 2):
+            _, dz = oracle_patch(ansatz, image[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].ravel())
+            grad[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = (dz @ upstream[i, j]).reshape(2, 2)
+    return grad
+
+
+def entangled_ansatz(angles):
+    """Rotations, all-pairs ZZ, then rotations again, so that entanglement reaches the readout."""
+    angles = np.asarray(angles, dtype=float)
+    gates = [rot(q, *angles[3 * q : 3 * q + 3]) for q in range(4)]
+    pairs = [(p, q) for p in range(3) for q in range(p + 1, 4)]
+    gates += [zz(p, q, angles[12 + n]) for n, (p, q) in enumerate(pairs)]
+    gates += [rot(q, *angles[18 + 3 * q : 21 + 3 * q]) for q in range(4)]
+    return Ansatz(AnsatzKind.ZZ_FULL, 4, tuple(gates), seed=0)
+
+
+def pixel_support(extractor, channel, tol=1e-12):
+    """Pixels q whose table entries with a non-identity Pauli on qubit q reach ``channel``."""
+    table = np.abs(extractor.table[..., channel])
+    return {q for q in range(4) if np.max(np.take(table, [1, 2], axis=q)) > tol}
+
+
+# ---------------------------------------------------------------------------
+# Patches: tiling, row-major qubit order and the Ry(pi * p) encoding
 # ---------------------------------------------------------------------------
 
 
 def test_full_image_patch_count():
-    patches = extract_patches(np.zeros((28, 28)))
-    assert len(patches) == 196
-    assert patches[0].origin == (0, 0)
-    assert patches[-1].origin == (26, 26)
+    rng = np.random.default_rng(1)
+    image = random_image(rng)
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=1))
+    fmap = extractor.forward(image)
+    assert fmap.shape == (14, 14, 4)
+    assert np.array_equal(fmap[0, 0], extractor.forward(image[:2, :2])[0, 0])
+    assert np.array_equal(fmap[-1, -1], extractor.forward(image[26:, 26:])[0, 0])
 
 
 def test_single_patch_image():
     image = np.array([[0.1, 0.2], [0.3, 0.4]])
-    patches = extract_patches(image)
-    assert len(patches) == 1
-    assert patches[0].values == (0.1, 0.2, 0.3, 0.4)
+    ansatz = entangled_ansatz(np.random.default_rng(2).uniform(0, 2 * np.pi, 30))
+    fmap = QuanvExtractor(ansatz).forward(image)
+    assert fmap.shape == (1, 1, 4)
+    expected = oracle_readout(ansatz, np.pi * np.array([0.1, 0.2, 0.3, 0.4]))
+    assert np.allclose(fmap[0, 0], expected, atol=1e-12)
 
 
 def test_constant_image_patches():
-    patches = extract_patches(np.full((6, 6), 0.5))
-    assert all(p.values == (0.5, 0.5, 0.5, 0.5) for p in patches)
+    ansatz = build_ansatz(AnsatzKind.RANDOM, 4, seed=5)
+    fmap = QuanvExtractor(ansatz).forward(np.full((6, 6), 0.5))
+    expected = oracle_readout(ansatz, np.full(4, np.pi / 2))
+    assert np.allclose(fmap, expected, atol=1e-12)
 
 
 def test_every_pixel_in_exactly_one_patch():
+    """Under the identity circuit channel k of cell (i, j) is cos(pi * pixel k of that patch)."""
     rng = np.random.default_rng(0)
-    image = random_image(rng, (8, 8))
-    seen = np.zeros_like(image, dtype=int)
-    for patch in extract_patches(image):
-        i, j = patch.origin
-        seen[i : i + 2, j : j + 2] += 1
-        assert np.allclose(patch.values, image[i : i + 2, j : j + 2].ravel())
-    assert np.all(seen == 1)
+    image = random_image(rng, (8, 10))
+    fmap = identity_extractor().forward(image)
+    expected = np.empty((4, 5, 4))
+    for i in range(4):
+        for j in range(5):
+            for k in range(4):
+                expected[i, j, k] = np.cos(np.pi * image[2 * i + k // 2, 2 * j + k % 2])
+    assert np.allclose(fmap, expected, atol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        extract_patches(np.zeros((7, 8)))
-    with pytest.raises(ValueError):
-        extract_patches(np.zeros((28,)))
-
-
-# ---------------------------------------------------------------------------
-# encode_patch
-# ---------------------------------------------------------------------------
+    extractor = identity_extractor()
+    for bad in (np.zeros((7, 8)), np.zeros((28,))):
+        with pytest.raises(ValueError):
+            extractor.forward(bad)
+        with pytest.raises(ValueError):
+            extractor.input_gradient(bad, np.zeros((4, 4, 4)))
 
 
 def test_encode_zero_patch():
-    state = encode_patch(Patch((0.0, 0.0, 0.0, 0.0), (0, 0)))
-    assert np.allclose(state.amps[0], 1.0)
-    for q in range(4):
-        assert measure_z(state, q) == pytest.approx(1.0)
+    assert np.allclose(identity_extractor().forward(np.zeros((2, 2))), 1.0, atol=1e-12)
 
 
 def test_encode_ones_patch():
-    state = encode_patch(Patch((1.0, 1.0, 1.0, 1.0), (0, 0)))
-    for q in range(4):
-        assert measure_z(state, q) == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(identity_extractor().forward(np.ones((2, 2))), -1.0, atol=1e-12)
 
 
 def test_encode_half_pixel():
-    state = encode_patch(Patch((0.5, 0.0, 0.0, 0.0), (0, 0)))
-    assert measure_z(state, 0) == pytest.approx(0.0, abs=1e-12)
-    for q in range(1, 4):
-        assert measure_z(state, q) == pytest.approx(1.0)
+    fmap = identity_extractor().forward(np.array([[0.5, 0.0], [0.0, 0.0]]))
+    assert fmap[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(fmap[0, 0, 1:], 1.0, atol=1e-12)
 
 
 def test_encode_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        encode_patch(Patch((1.5, 0.0, 0.0, 0.0), (0, 0)))
-    with pytest.raises(ValueError):
-        encode_patch(Patch((-0.1, 0.0, 0.0, 0.0), (0, 0)))
+    extractor = identity_extractor()
+    for value in (1.5, -0.1):
+        image = np.zeros((2, 2))
+        image[1, 0] = value
+        with pytest.raises(ValueError):
+            extractor.forward(image)
+        with pytest.raises(ValueError):
+            extractor.input_gradient(image, np.zeros((1, 1, 4)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_pixels(value):
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=0))
+    image = np.full((4, 4), 0.5)
+    image[2, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        extractor.forward(image)
+    with pytest.raises(ValueError, match="finite"):
+        extractor.input_gradient(image, np.zeros((2, 2, 4)))
 
 
 # ---------------------------------------------------------------------------
-# quanv_forward
+# Forward pass
 # ---------------------------------------------------------------------------
 
 
 def test_identity_circuit_on_zero_image():
-    ansatz = with_angles(build_ansatz(AnsatzKind.NO_ENT, 4, seed=1), np.zeros(12))
-    fmap = quanv_forward(np.zeros((28, 28)), ansatz)
+    fmap = identity_extractor().forward(np.zeros((28, 28)))
     assert fmap.shape == (14, 14, 4)
     assert np.allclose(fmap, 1.0, atol=1e-12)
 
 
 def test_constant_image_gives_constant_channels():
     ansatz = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=3)
-    fmap = quanv_forward(np.zeros((28, 28)), ansatz)
+    fmap = QuanvExtractor(ansatz).forward(np.zeros((28, 28)))
     for k in range(4):
         channel = fmap[:, :, k]
         assert np.allclose(channel, channel[0, 0], atol=1e-12)
 
 
-def oracle_feature_map(image, ansatz):
-    """Expectation per patch via explicit Kronecker matrices (no qsim)."""
-    from quanvrob.qsim import ry as _ry
-
-    hp, wp = image.shape[0] // 2, image.shape[1] // 2
-    out = np.zeros((hp, wp, 4))
-    signs = np.array(
-        [[1.0 if ((i >> (3 - q)) & 1) == 0 else -1.0 for i in range(16)] for q in range(4)]
-    )
-    for patch in extract_patches(image):
-        i, j = patch.origin
-        program = [_ry(q, np.pi * patch.values[q]) for q in range(4)] + list(ansatz.gates)
-        state = oracle_unitary(program, 4)[:, 0]
-        probs = np.abs(state) ** 2
-        out[i // 2, j // 2] = signs @ probs
-    return out
-
-
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_forward_matches_matrix_oracle(kind):
-    rng = np.random.default_rng(hash(kind.value) % 2**32)
-    image = random_image(rng, (8, 8))
-    ansatz = build_ansatz(kind, 4, seed=42)
-    fmap = quanv_forward(image, ansatz)
-    assert np.allclose(fmap, oracle_feature_map(image, ansatz), atol=1e-10)
+    rng = np.random.default_rng(list(AnsatzKind).index(kind))
+    for seed in range(3):
+        image = random_image(rng, (8, 8))
+        ansatz = build_ansatz(kind, 4, seed=seed)
+        fmap = QuanvExtractor(ansatz).forward(image)
+        assert np.max(np.abs(fmap - oracle_feature_map(image, ansatz))) <= 1e-12
 
 
 def test_forward_shape_and_range():
+    """Features stay inside [-1, 1], also on exact 0/1 pixels where rounding can push past 1."""
     rng = np.random.default_rng(8)
-    ansatz = build_ansatz(AnsatzKind.ZZ_LINEAR, 4, seed=8)
-    fmap = quanv_forward(random_image(rng), ansatz)
-    assert fmap.shape == (14, 14, 4)
-    assert np.all(fmap >= -1.0)
-    assert np.all(fmap <= 1.0)
+    binary = (rng.random((28, 28)) < 0.5).astype(float)
+    # all 16 patches of 0/1 pixels side by side
+    every_patch = np.hstack([np.array(bits, dtype=float).reshape(2, 2) for bits in np.ndindex(2, 2, 2, 2)])
+    for kind in AnsatzKind:
+        for seed in range(5):
+            extractor = QuanvExtractor(build_ansatz(kind, 4, seed=seed))
+            for image in (random_image(rng), binary, every_patch, np.ones((28, 28))):
+                fmap = extractor.forward(image)
+                assert fmap.shape == (image.shape[0] // 2, image.shape[1] // 2, 4)
+                assert np.all(fmap >= -1.0)
+                assert np.all(fmap <= 1.0)
 
 
 def test_forward_patch_order_independence():
     """Each output cell depends only on its own patch."""
     rng = np.random.default_rng(9)
     image = random_image(rng, (8, 8))
-    ansatz = build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=9)
-    extractor = QuanvExtractor(ansatz)
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=9))
     fmap = extractor.forward(image)
-    order = rng.permutation(len(extract_patches(image)))
-    for p in order:
-        patch = extract_patches(image)[p]
-        i, j = patch.origin
-        lone = np.zeros((2, 2))
-        lone[:] = np.asarray(patch.values).reshape(2, 2)
-        assert np.allclose(extractor.forward(lone)[0, 0], fmap[i // 2, j // 2], atol=1e-12)
+    for cell in rng.permutation(16):
+        i, j = divmod(int(cell), 4)
+        lone = image[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].copy()
+        assert np.allclose(extractor.forward(lone)[0, 0], fmap[i, j], atol=1e-12)
 
 
 def test_forward_rejects_bad_inputs():
-    ansatz = build_ansatz(AnsatzKind.NO_ENT, 4, seed=0)
     with pytest.raises(ValueError):
-        quanv_forward(np.full((4, 4), 1.2), ansatz)
+        identity_extractor().forward(np.full((4, 4), 1.2))
     with pytest.raises(ValueError):
         QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 3, seed=0))
 
 
 # ---------------------------------------------------------------------------
-# quanv_input_gradient
+# Input gradient
 # ---------------------------------------------------------------------------
 
 
-def numeric_pixel_gradient(image, ansatz, upstream, i, j, h=1e-5):
+def numeric_pixel_gradient(extractor, image, upstream, i, j, h=1e-5):
     bumped = image.copy()
     bumped[i, j] = image[i, j] + h
-    plus = np.sum(upstream * quanv_forward(np.clip(bumped, 0, 1), ansatz))
+    plus = np.sum(upstream * extractor.forward(np.clip(bumped, 0, 1)))
     bumped[i, j] = image[i, j] - h
-    minus = np.sum(upstream * quanv_forward(np.clip(bumped, 0, 1), ansatz))
+    minus = np.sum(upstream * extractor.forward(np.clip(bumped, 0, 1)))
     return (plus - minus) / (2 * h)
 
 
 def test_zero_upstream_gives_zero_gradient():
     rng = np.random.default_rng(10)
-    ansatz = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=10)
-    grad = quanv_input_gradient(random_image(rng, (8, 8)), ansatz, np.zeros((4, 4, 4)))
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=10))
+    grad = extractor.input_gradient(random_image(rng, (8, 8)), np.zeros((4, 4, 4)))
     assert np.array_equal(grad, np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_gradient_matches_matrix_oracle(kind):
+    rng = np.random.default_rng(10 + list(AnsatzKind).index(kind))
+    binary = (rng.random((6, 6)) < 0.5).astype(float)
+    for seed in range(3):
+        ansatz = build_ansatz(kind, 4, seed=seed)
+        extractor = QuanvExtractor(ansatz)
+        for image in (random_image(rng, (6, 6)), binary):
+            upstream = rng.normal(size=(3, 3, 4))
+            grad = extractor.input_gradient(image, upstream)
+            assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))
@@ -203,35 +279,103 @@ def test_gradient_matches_finite_difference(kind):
         # keep pixels away from the [0, 1] boundary so the probe stays valid
         image = 0.2 + 0.6 * rng.random((6, 6))
         upstream = rng.normal(size=(3, 3, 4))
-        ansatz = build_ansatz(kind, 4, seed=int(rng.integers(1000)))
-        grad = quanv_input_gradient(image, ansatz, upstream)
+        extractor = QuanvExtractor(build_ansatz(kind, 4, seed=int(rng.integers(1000))))
+        grad = extractor.input_gradient(image, upstream)
         for _ in range(4):
             i, j = rng.integers(6), rng.integers(6)
-            numeric = numeric_pixel_gradient(image, ansatz, upstream, i, j)
+            numeric = numeric_pixel_gradient(extractor, image, upstream, i, j)
             assert grad[i, j] == pytest.approx(numeric, abs=1e-6)
 
 
 def test_gradient_locality_without_entanglement():
     rng = np.random.default_rng(12)
     image = 0.2 + 0.6 * rng.random((6, 6))
-    ansatz = build_ansatz(AnsatzKind.NO_ENT, 4, seed=12)
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed=12))
     for k in range(4):
         upstream = np.zeros((3, 3, 4))
         upstream[1, 2, k] = 1.0
-        grad = quanv_input_gradient(image, ansatz, upstream)
+        grad = extractor.input_gradient(image, upstream)
         nonzero = np.argwhere(np.abs(grad) > 1e-12)
         assert nonzero.shape[0] == 1
         # channel k reads qubit k, fed by pixel k of the patch at (2, 4)
         di, dj = divmod(k, 2)
         assert tuple(nonzero[0]) == (2 + di, 4 + dj)
-        numeric = numeric_pixel_gradient(image, ansatz, upstream, 2 + di, 4 + dj)
+        numeric = numeric_pixel_gradient(extractor, image, upstream, 2 + di, 4 + dj)
         assert grad[2 + di, 4 + dj] == pytest.approx(numeric, abs=1e-6)
 
 
 def test_gradient_rejects_bad_upstream_shape():
-    ansatz = build_ansatz(AnsatzKind.NO_ENT, 4, seed=0)
     with pytest.raises(ValueError):
-        quanv_input_gradient(np.zeros((8, 8)), ansatz, np.zeros((14, 14, 4)))
+        identity_extractor().input_gradient(np.zeros((8, 8)), np.zeros((14, 14, 4)))
+
+
+# ---------------------------------------------------------------------------
+# The compiled table
+# ---------------------------------------------------------------------------
+
+_angle = st.floats(0.0, 2 * np.pi, allow_nan=False)
+_pixels = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=4, max_size=4)
+_upstream = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4)
+
+
+def assert_matches_oracle(ansatz, pixels, upstream):
+    image = np.asarray(pixels).reshape(2, 2)
+    up = np.asarray(upstream).reshape(1, 1, 4)
+    extractor = QuanvExtractor(ansatz)
+    assert np.max(np.abs(extractor.forward(image) - oracle_feature_map(image, ansatz))) <= 1e-12
+    grad = extractor.input_gradient(image, up)
+    assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, up))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(AnsatzKind)),
+    seed=st.integers(0, 2**16),
+    angles=st.lists(_angle, min_size=18, max_size=18),
+    pixels=_pixels,
+    upstream=_upstream,
+)
+def test_table_matches_oracle_for_random_angles(kind, seed, angles, pixels, upstream):
+    ansatz = build_ansatz(kind, 4, seed)
+    n_angles = angles_of(ansatz).size
+    assert_matches_oracle(with_angles(ansatz, angles[:n_angles]), pixels, upstream)
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.lists(_angle, min_size=30, max_size=30), pixels=_pixels, upstream=_upstream)
+def test_table_matches_oracle_with_entanglement_before_readout(angles, pixels, upstream):
+    assert_matches_oracle(entangled_ansatz(angles), pixels, upstream)
+
+
+def test_entangled_circuit_exercises_cross_terms():
+    """With rotations after ZZ every channel reads all four pixels through many table terms."""
+    extractor = QuanvExtractor(entangled_ansatz(np.random.default_rng(3).uniform(0, 2 * np.pi, 30)))
+    for k in range(4):
+        assert pixel_support(extractor, k) == {0, 1, 2, 3}
+        assert np.count_nonzero(np.abs(extractor.table[..., k]) > 1e-9) > 16
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_table_channel_reads_only_its_own_pixel(kind):
+    """Every layout ends in ZZ gates, which commute with the Z readout, so channel k reads only pixel k."""
+    for seed in range(3):
+        extractor = QuanvExtractor(build_ansatz(kind, 4, seed=seed))
+        for k in range(4):
+            assert pixel_support(extractor, k) == {k}
+
+
+def test_no_simulation_after_compile(monkeypatch):
+    rng = np.random.default_rng(14)
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.RANDOM, 4, seed=14))
+    assert extractor.table.dtype == np.float64
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("qsim.apply_gate called after compile")
+
+    monkeypatch.setattr(qsim, "apply_gate", refuse)
+    image = random_image(rng, (6, 6))
+    extractor.forward(image)
+    extractor.input_gradient(image, rng.normal(size=(3, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
