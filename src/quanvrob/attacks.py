@@ -4,11 +4,20 @@ Three white-box attacks against any model exposing ``input_gradient``:
 
   fgsm  x' = clip(x + eps * sign(grad))
   pgd   k steps of x <- clip_eps(x + alpha * sign(grad at x)), no random start
+        (Madry et al., arXiv:1706.06083)
   mim   like pgd but the step direction is the sign of an accumulated
         gradient g <- mu * g + grad / ||grad||_1
 
 Every adversarial image stays within the L-infinity ball of radius eps
 around the original and inside [0, 1].  sign(0) is 0.
+
+An attack takes one (H, W) image with an int label, or an (N, H, W) stack
+with (N,) labels, and steps the whole stack at once: one model gradient per
+step for all images.  Each image's step depends only on its own gradient;
+in mim the L1 norm is taken per image, and an image whose gradient vanishes
+adds nothing to its momentum that step.  So a stack gives bitwise the
+adversarials of its images one at a time.  The evaluations below make one
+attack call per spec (per source and spec in transfer) over the whole stack.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import read_record
+from .models import accuracy
 
 
 class AttackKind:
@@ -71,7 +81,7 @@ def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(origin + np.clip(x - origin, -epsilon, epsilon), 0.0, 1.0)
 
 
-def fgsm(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
+def fgsm(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
     if spec.kind != AttackKind.FGSM:
         raise ValueError(f"expected an fgsm spec, got {spec.kind}")
     image = np.asarray(image, dtype=float)
@@ -81,7 +91,7 @@ def fgsm(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
     return np.clip(image + spec.epsilon * np.sign(grad), 0.0, 1.0)
 
 
-def pgd(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
+def pgd(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
     if spec.kind != AttackKind.PGD:
         raise ValueError(f"expected a pgd spec, got {spec.kind}")
     image = np.asarray(image, dtype=float)
@@ -92,7 +102,7 @@ def pgd(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
     return x
 
 
-def mim(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
+def mim(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
     if spec.kind != AttackKind.MIM:
         raise ValueError(f"expected a mim spec, got {spec.kind}")
     image = np.asarray(image, dtype=float)
@@ -100,9 +110,9 @@ def mim(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
     g = np.zeros_like(image)
     for _ in range(spec.iterations):
         grad = model.input_gradient(x, label)
-        l1 = np.sum(np.abs(grad))
+        l1 = np.sum(np.abs(grad), axis=(-2, -1), keepdims=True)
         # a vanished gradient contributes nothing this step
-        g = spec.momentum * g + (grad / l1 if l1 > 0 else 0.0)
+        g = spec.momentum * g + np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
         x = _project(x + spec.step_size * np.sign(g), image, spec.epsilon)
     return x
 
@@ -110,7 +120,7 @@ def mim(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
 _GENERATORS = {AttackKind.FGSM: fgsm, AttackKind.PGD: pgd, AttackKind.MIM: mim}
 
 
-def generate(model, image: np.ndarray, label: int, spec: AttackSpec) -> np.ndarray:
+def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
     return _GENERATORS[spec.kind](model, image, label, spec)
 
 
@@ -147,47 +157,42 @@ def _check_grid(specs) -> None:
         raise ValueError("attack grid epsilons must start at 0 and increase strictly")
 
 
+def _stack(images, labels, what: str):
+    """(N, H, W) images and (N,) labels as arrays, or a ValueError naming the shapes."""
+    images, labels = np.asarray(images, dtype=float), np.asarray(labels)
+    if len(images) == 0:
+        raise ValueError(f"cannot {what} on an empty image set")
+    if images.ndim != 3 or labels.shape != images.shape[:1]:
+        raise ValueError(f"expected (N, H, W) images with (N,) labels, got {images.shape} and {labels.shape}")
+    return images, labels
+
+
 def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
     """White-box accuracy-versus-epsilon curve of a model attacked by itself."""
-    if len(images) == 0:
-        raise ValueError("cannot evaluate robustness on an empty image set")
+    images, labels = _stack(images, labels, "evaluate robustness")
     _check_grid(specs)
     kind = specs[0].kind
-    points = []
     if kind == AttackKind.FGSM:
         # the gradient is evaluated at the clean input only, so it is shared
         # by every epsilon in the grid
-        signs = [np.sign(model.input_gradient(img, int(lbl))) for img, lbl in zip(images, labels)]
-        for spec in specs:
-            hits = 0
-            for img, lbl, s in zip(images, labels, signs):
-                adv = img if spec.epsilon == 0 else np.clip(img + spec.epsilon * s, 0.0, 1.0)
-                hits += model.predict_label(adv) == int(lbl)
-            points.append((spec.epsilon, hits / len(images)))
+        signs = np.sign(model.input_gradient(images, labels))
+        adversarials = (
+            images if s.epsilon == 0 else np.clip(images + s.epsilon * signs, 0.0, 1.0) for s in specs
+        )
     else:
-        for spec in specs:
-            hits = 0
-            for img, lbl in zip(images, labels):
-                adv = generate(model, img, int(lbl), spec)
-                hits += model.predict_label(adv) == int(lbl)
-            points.append((spec.epsilon, hits / len(images)))
+        adversarials = (generate(model, images, labels, spec) for spec in specs)
     return RobustnessCurve(
         model_kind=model.kind,
         model_fingerprint=model.fingerprint,
         attack_kind=kind,
-        points=tuple(points),
+        points=tuple((s.epsilon, accuracy(model, adv, labels)) for s, adv in zip(specs, adversarials)),
     )
 
 
 def transfer_attack(source_model, target_model, images, labels, spec: AttackSpec) -> float:
     """Accuracy of the target on examples crafted against the source."""
-    if len(images) == 0:
-        raise ValueError("cannot evaluate a transfer attack on an empty image set")
-    hits = 0
-    for img, lbl in zip(images, labels):
-        adv = generate(source_model, img, int(lbl), spec)
-        hits += target_model.predict_label(adv) == int(lbl)
-    return hits / len(images)
+    images, labels = _stack(images, labels, "evaluate a transfer attack")
+    return accuracy(target_model, generate(source_model, images, labels, spec), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +222,10 @@ class AdversarialBatch:
 
 
 def make_batch(model, images, labels, spec: AttackSpec) -> AdversarialBatch:
-    adversarials = np.stack([generate(model, img, int(lbl), spec) for img, lbl in zip(images, labels)])
+    images, labels = _stack(images, labels, "make an adversarial batch")
     return AdversarialBatch(
-        originals=np.asarray(images, dtype=float).copy(),
-        adversarials=adversarials,
+        originals=images.copy(),
+        adversarials=generate(model, images, labels, spec),
         source_fingerprint=model.fingerprint,
         spec=spec,
     )
@@ -241,9 +246,7 @@ def save_batch(path, batch: AdversarialBatch) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for orig, adv in zip(batch.originals, batch.adversarials):
-            fh.write(orig.astype("<f8").tobytes())
-            fh.write(adv.astype("<f8").tobytes())
+        fh.write(np.stack([batch.originals, batch.adversarials], axis=1).astype("<f8").tobytes())
 
 
 def load_batch(path) -> AdversarialBatch:

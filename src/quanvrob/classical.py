@@ -37,13 +37,15 @@ def build_conv_layer(seed: int) -> ConvLayer:
 def conv_preactivation(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     patches = to_patches(image)
-    hp, wp = image.shape[0] // 2, image.shape[1] // 2
+    hp, wp = image.shape[-2] // 2, image.shape[-1] // 2
+    # (..., P, 4) @ (4, filters) is one matrix product per image, so an image's
+    # result does not depend on the stack around it
     pre = patches @ layer.kernels.reshape(N_FILTERS, -1).T + layer.bias
-    return pre.reshape(hp, wp, N_FILTERS)
+    return pre.reshape(image.shape[:-2] + (hp, wp, N_FILTERS))
 
 
 def conv_forward(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """ReLU(conv2d(image)) with kernel 2, stride 2, no padding."""
+    """ReLU(conv2d(image)) with kernel 2, stride 2, no padding, for an image or a stack."""
     return np.maximum(conv_preactivation(image, layer), 0.0)
 
 
@@ -54,13 +56,13 @@ def conv_input_gradient(
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != forward_activations.shape:
         raise ValueError(
-            f"upstream shape {upstream.shape} does not match activations "
+            f"upstream shape {upstream.shape} does not match the feature map "
             f"{forward_activations.shape}"
         )
-    hp, wp, _ = upstream.shape
+    *lead, hp, wp, _ = upstream.shape
     masked = upstream * (forward_activations > 0.0)
-    # (hp, wp, filters) x (filters, 4) -> per-patch pixel gradients
-    grad_patch = masked.reshape(-1, N_FILTERS) @ layer.kernels.reshape(N_FILTERS, -1)
+    # (..., patches, filters) x (filters, 4) -> per-patch pixel gradients
+    grad_patch = masked.reshape(*lead, hp * wp, N_FILTERS) @ layer.kernels.reshape(N_FILTERS, -1)
     return from_patches(grad_patch, hp, wp)
 
 
@@ -108,34 +110,72 @@ def build_dense_head(seed: int, in_dim: int = 784, scale: float = 0.05) -> Dense
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp)
+    """Softmax over the last axis."""
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _flat_features(features, in_dim: int) -> np.ndarray:
+    """(D,) for one sample, (N, D) for a stack.
+
+    A sample is a flat (D,) vector or an (hp, wp, C) feature map; a stack
+    puts N of them on a leading axis, (N, D) or (N, hp, wp, C).
+    """
+    x = np.asarray(features, dtype=float)
+    flat = x.reshape(len(x), -1) if x.ndim in (2, 4) else x.reshape(-1)
+    if flat.shape[-1] != in_dim:
+        raise ValueError(f"feature shape {x.shape} does not match head input {in_dim}")
+    return flat
 
 
 def dense_forward(features: np.ndarray, head: DenseHead) -> np.ndarray:
-    flat = np.asarray(features, dtype=float).reshape(-1)
-    if flat.size != head.weights.shape[1]:
-        raise ValueError(
-            f"feature size {flat.size} does not match head input {head.weights.shape[1]}"
-        )
-    return softmax(head.weights @ flat + head.bias)
+    """Class probabilities, (classes,) for one sample or (N, classes) for a stack."""
+    flat = _flat_features(features, head.weights.shape[1])
+    # one matrix-vector product per sample, so that a sample's logits do not
+    # depend on the stack around it
+    return softmax((head.weights @ flat[..., None])[..., 0] + head.bias)
 
 
-def cross_entropy(probs: np.ndarray, label: int):
-    """Cross-entropy -log p[label] and its gradient with respect to the logits."""
-    if not 0 <= label < N_CLASSES:
-        raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label}")
+def cross_entropy(probs: np.ndarray, label):
+    """Cross-entropy -log p[label] and its gradient with respect to the logits.
+
+    For (N, classes) probabilities the labels are an (N,) integer array and
+    the loss is an (N,) array, one per sample.
+    """
+    if probs.ndim == 1:
+        if not 0 <= label < N_CLASSES:
+            raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label}")
+        dlogits = probs.copy()
+        dlogits[label] -= 1.0
+        return float(-np.log(probs[label])), dlogits
+    labels = np.asarray(label)
+    if labels.shape != probs.shape[:1]:
+        raise ValueError(f"labels of shape {labels.shape} do not match a stack of shape {probs.shape[:1]}")
+    if labels.dtype.kind not in "iu" or (labels.size and not (labels.min() >= 0 and labels.max() < N_CLASSES)):
+        raise ValueError(f"labels must be integers in 0..{N_CLASSES - 1}")
+    rows = np.arange(len(labels))
     dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    return float(-np.log(probs[label])), dlogits
+    dlogits[rows, labels] -= 1.0
+    return -np.log(probs[rows, labels]), dlogits
 
 
-def loss_and_grads(head: DenseHead, probs: np.ndarray, label: int, features: np.ndarray):
-    """Cross-entropy -log p[label] and its gradients (dW, db, dfeatures)."""
+def loss_and_grads(head: DenseHead, probs: np.ndarray, label, features: np.ndarray):
+    """Cross-entropy -log p[label] and its gradients (dW, db, dfeatures).
+
+    For a stack the loss and dfeatures are per sample, and dW and db are
+    summed over the samples.
+    """
     loss, dlogits = cross_entropy(probs, label)
-    flat = np.asarray(features, dtype=float).reshape(-1)
-    return loss, np.outer(dlogits, flat), dlogits, head.weights.T @ dlogits
+    flat = _flat_features(features, head.weights.shape[1])
+    if flat.shape[:-1] != dlogits.shape[:-1]:
+        raise ValueError(f"features of shape {flat.shape} do not match probabilities {dlogits.shape}")
+    if dlogits.ndim == 1:
+        d_weights, d_bias = np.outer(dlogits, flat), dlogits
+    else:
+        d_weights, d_bias = dlogits.T @ flat, dlogits.sum(axis=0)
+    # one matrix-vector product per sample, as in dense_forward
+    d_features = (head.weights.T @ dlogits[..., None])[..., 0]
+    return loss, d_weights, d_bias, d_features
 
 
 # ---------------------------------------------------------------------------

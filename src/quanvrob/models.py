@@ -1,4 +1,11 @@
-"""A model is a frozen feature extractor plus the trainable dense head."""
+"""A model is a frozen feature extractor plus the trainable dense head.
+
+Every method takes one (H, W) image with an int label, or an (N, H, W)
+stack with an (N,) integer array of labels, and answers in kind:
+``predict_label`` gives an int or an (N,) array, ``loss`` a float or an
+(N,) array of per-image losses, and the input gradient has the shape of
+the images.  A stack gives bitwise the answers of its images one at a time.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,8 @@ from typing import Protocol
 import numpy as np
 
 from .classical import DenseHead, cross_entropy, dense_forward, loss_and_grads
+
+BLOCK = 32  # images per predict_label call in accuracy, so memory stays flat in the set size
 
 
 class FeatureExtractor(Protocol):
@@ -47,26 +56,34 @@ class Model:
     def predict_probs(self, image: np.ndarray) -> np.ndarray:
         return dense_forward(self.features(image), self.head)
 
-    def predict_label(self, image: np.ndarray) -> int:
-        return int(np.argmax(self.predict_probs(image)))
+    def predict_label(self, image: np.ndarray):
+        labels = np.argmax(self.predict_probs(image), axis=-1)
+        return int(labels) if labels.ndim == 0 else labels
 
-    def loss(self, image: np.ndarray, label: int) -> float:
+    def loss(self, image: np.ndarray, label):
         return cross_entropy(self.predict_probs(image), label)[0]
 
-    def loss_and_input_gradient(self, image: np.ndarray, label: int):
+    def loss_and_input_gradient(self, image: np.ndarray, label):
         """Cross-entropy loss and its exact gradient w.r.t. the input pixels."""
         fmap = self.extractor.forward(image)
         probs = dense_forward(fmap, self.head)
-        loss, _, _, d_features = loss_and_grads(self.head, probs, label, fmap.reshape(-1))
+        loss, _, _, d_features = loss_and_grads(self.head, probs, label, fmap)
         grad = self.extractor.input_gradient(image, d_features.reshape(fmap.shape))
         return loss, grad
 
-    def input_gradient(self, image: np.ndarray, label: int) -> np.ndarray:
+    def input_gradient(self, image: np.ndarray, label) -> np.ndarray:
         return self.loss_and_input_gradient(image, label)[1]
 
 
 def accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of an (N, H, W) stack that the model labels correctly."""
+    images, labels = np.asarray(images, dtype=float), np.asarray(labels)
     if len(images) == 0:
         raise ValueError("cannot score an empty image set")
-    hits = sum(model.predict_label(img) == int(lbl) for img, lbl in zip(images, labels))
+    if labels.shape != (len(images),):
+        raise ValueError(f"labels of shape {labels.shape} do not match {len(images)} images")
+    hits = sum(
+        int(np.count_nonzero(model.predict_label(images[s : s + BLOCK]) == labels[s : s + BLOCK]))
+        for s in range(0, len(images), BLOCK)
+    )
     return hits / len(images)
