@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quanvrob.ansatz import AnsatzKind
 from quanvrob.attacks import (
     AdversarialBatch,
     AttackKind,
@@ -15,6 +16,7 @@ from quanvrob.attacks import (
     save_batch,
     transfer_attack,
 )
+from quanvrob.qsim import GateKind
 
 from test_models import make_cnn_model, make_qunn_model
 
@@ -93,6 +95,26 @@ def test_fgsm_sign_of_zero_gradient_is_zero():
     adv = fgsm(model, image, 0, AttackSpec(AttackKind.FGSM, 0.2))
     assert adv[0, 0] == 0.4
     assert adv[0, 1] == pytest.approx(0.6)
+
+
+def test_fgsm_leaves_dead_pixels_exactly_unmoved():
+    """In ``random`` a qubit given rx or rz reads const * cos(theta), whose derivative vanishes at pixel 0.
+
+    The gradient there is exactly 0, not rounding residue, so sign() gives 0 and FGSM does not move the pixel.
+    """
+    image = np.zeros((8, 8))
+    upstream = np.random.default_rng(3).normal(size=(4, 4, 4))
+    for seed in range(3):
+        model = make_qunn_model(AnsatzKind.RANDOM, seed=seed)
+        dead = np.zeros((2, 2), dtype=bool)  # by pixel of a patch, row-major, as the qubits
+        for gate in model.extractor.ansatz.gates[:4]:
+            dead.flat[gate.targets[0]] = gate.kind in (GateKind.RX, GateKind.RZ)
+        assert dead.any()
+        dead = np.tile(dead, (4, 4))
+        assert np.all(model.extractor.input_gradient(image, upstream)[dead] == 0.0)
+        assert np.all(model.input_gradient(image, 3)[dead] == 0.0)
+        adversarial = fgsm(model, image, 3, AttackSpec(AttackKind.FGSM, 0.1))
+        assert np.all(adversarial[dead] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,19 @@ from quanvrob.attacks import (
     transfer_attack,
 )
 from quanvrob.classical import build_dense_head, dense_forward, loss_and_grads
-from quanvrob.models import accuracy
+from quanvrob.models import Model, accuracy
+from quanvrob.quanv import QuanvExtractor
 
 from test_models import make_cnn_model, make_qunn_model
+from test_quanv import entangled_ansatz
 
 KINDS = list(AnsatzKind) + ["cnn"]
 MODELS = {kind: make_cnn_model(seed=3) if kind == "cnn" else make_qunn_model(kind, seed=3) for kind in KINDS}
+# a dense table (about 80 Pauli strings, several per channel) beside the layouts' 8
+MODELS["entangled"] = Model(
+    QuanvExtractor(entangled_ansatz(np.random.default_rng(3).uniform(0, 2 * np.pi, 30))),
+    build_dense_head(4, in_dim=64),
+)
 N_IMAGES = 6  # more than one contraction block of quanv
 
 
@@ -45,7 +52,7 @@ def one_by_one(fn, *stacks):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS + ["entangled"], ids=str)
 def test_extractor_stack_matches_images(kind):
     extractor = MODELS[kind].extractor
     images, _ = stack(1)
@@ -58,7 +65,7 @@ def test_extractor_stack_matches_images(kind):
     assert np.array_equal(grads, one_by_one(extractor.input_gradient, images, upstream))
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS + ["entangled"], ids=str)
 def test_model_stack_matches_images(kind):
     model = MODELS[kind]
     images, labels = stack(3)

@@ -102,6 +102,16 @@ def test_full_image_patch_count():
     assert np.array_equal(fmap[-1, -1], extractor.forward(image[26:, 26:])[0, 0])
 
 
+def test_dense_table_patch_features_do_not_depend_on_the_image():
+    """Each channel of a dense table sums its many terms in one order, so a lone patch gives the same bits."""
+    rng = np.random.default_rng(17)
+    image = random_image(rng)
+    extractor = QuanvExtractor(entangled_ansatz(rng.uniform(0, 2 * np.pi, 30)))
+    fmap = extractor.forward(image)
+    for i, j in ((0, 0), (5, 9), (13, 13)):
+        assert np.array_equal(fmap[i, j], extractor.forward(image[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])[0, 0])
+
+
 def test_single_patch_image():
     image = np.array([[0.1, 0.2], [0.3, 0.4]])
     ansatz = entangled_ansatz(np.random.default_rng(2).uniform(0, 2 * np.pi, 30))
@@ -352,6 +362,8 @@ def test_table_matches_oracle_with_entanglement_before_readout(angles, pixels, u
 def test_entangled_circuit_exercises_cross_terms():
     """With rotations after ZZ every channel reads all four pixels through many table terms."""
     extractor = QuanvExtractor(entangled_ansatz(np.random.default_rng(3).uniform(0, 2 * np.pi, 30)))
+    assert extractor.support == (frozenset({0, 1, 2, 3}),) * 4
+    assert len(extractor.terms) > 16
     for k in range(4):
         assert pixel_support(extractor, k) == {0, 1, 2, 3}
         assert np.count_nonzero(np.abs(extractor.table[..., k]) > 1e-9) > 16
@@ -359,11 +371,31 @@ def test_entangled_circuit_exercises_cross_terms():
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_table_channel_reads_only_its_own_pixel(kind):
-    """Every layout ends in ZZ gates, which commute with the Z readout, so channel k reads only pixel k."""
+    """Every layout ends in ZZ gates, which commute with the Z readout, so channel k reads only pixel k.
+
+    The table holds exact zeros, not rounding residue, on the other pixels, and the filter compiles to
+    the M = 8 strings X_k and Z_k.
+    """
+    single_qubit_strings = sorted(tuple(pauli * (q == k) for q in range(4)) for k in range(4) for pauli in (1, 2))
     for seed in range(3):
         extractor = QuanvExtractor(build_ansatz(kind, 4, seed=seed))
+        assert extractor.support == tuple(frozenset({k}) for k in range(4))
+        assert sorted(map(tuple, extractor.terms.tolist())) == single_qubit_strings
         for k in range(4):
-            assert pixel_support(extractor, k) == {k}
+            assert pixel_support(extractor, k, tol=0.0) == {k}
+
+
+def test_circuit_read_only_through_y_compiles_to_no_terms():
+    """Rx(pi/2) turns every Z_k into -Y_k, which no encoded qubit reads: no strings, zero features and gradient."""
+    ansatz = Ansatz(AnsatzKind.NO_ENT, 4, tuple(qsim.rx(q, np.pi / 2) for q in range(4)), seed=0)
+    extractor = QuanvExtractor(ansatz)
+    assert not np.any(extractor.table)
+    assert extractor.terms.shape == (0, 4)
+    assert extractor.support == (frozenset(),) * 4
+    image = random_image(np.random.default_rng(16), (4, 4))
+    assert np.array_equal(extractor.forward(image), np.zeros((2, 2, 4)))
+    assert np.array_equal(extractor.input_gradient(image, np.ones((2, 2, 4))), np.zeros((4, 4)))
+    assert np.max(np.abs(oracle_feature_map(image, ansatz))) <= 1e-12
 
 
 def test_no_simulation_after_compile(monkeypatch):
