@@ -36,6 +36,9 @@ def build_conv_layer(seed: int) -> ConvLayer:
 
 def conv_preactivation(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
     image = np.asarray(image, dtype=float)
+    # any finite pixel is accepted, also outside [0, 1]
+    if not np.all(np.isfinite(image)):
+        raise ValueError("image pixels must be finite")
     patches = to_patches(image)
     hp, wp = image.shape[-2] // 2, image.shape[-1] // 2
     # (..., P, 4) @ (4, filters) is one matrix product per image, so an image's

@@ -21,6 +21,13 @@ BLOCK = 32  # images per predict_label call in accuracy, so memory stays flat in
 
 
 class FeatureExtractor(Protocol):
+    """A frozen map from images to feature maps, with its input gradient.
+
+    ``Model.loss_and_input_gradient`` calls ``forward`` and then
+    ``input_gradient`` on the same pixels.  An extractor may reuse work
+    between the two calls, but must return the same bits as without it.
+    """
+
     kind: str
     seed: int
 

@@ -97,12 +97,13 @@ def test_fgsm_sign_of_zero_gradient_is_zero():
     assert adv[0, 1] == pytest.approx(0.6)
 
 
-def test_fgsm_leaves_dead_pixels_exactly_unmoved():
-    """In ``random`` a qubit given rx or rz reads const * cos(theta), whose derivative vanishes at pixel 0.
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_fgsm_leaves_dead_pixels_exactly_unmoved(fill):
+    """In ``random`` a qubit given rx or rz reads const * cos(theta), whose derivative vanishes at pixels 0 and 1.
 
     The gradient there is exactly 0, not rounding residue, so sign() gives 0 and FGSM does not move the pixel.
     """
-    image = np.zeros((8, 8))
+    image = np.full((8, 8), fill)
     upstream = np.random.default_rng(3).normal(size=(4, 4, 4))
     for seed in range(3):
         model = make_qunn_model(AnsatzKind.RANDOM, seed=seed)
@@ -114,7 +115,7 @@ def test_fgsm_leaves_dead_pixels_exactly_unmoved():
         assert np.all(model.extractor.input_gradient(image, upstream)[dead] == 0.0)
         assert np.all(model.input_gradient(image, 3)[dead] == 0.0)
         adversarial = fgsm(model, image, 3, AttackSpec(AttackKind.FGSM, 0.1))
-        assert np.all(adversarial[dead] == 0.0)
+        assert np.all(adversarial[dead] == fill)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanvrob import qsim
+from quanvrob import qsim, quanv
 from quanvrob.ansatz import Ansatz, AnsatzKind, angles_of, build_ansatz, with_angles
+from quanvrob.classical import ConvExtractor, build_conv_layer
 from quanvrob.qsim import rot, zz
 from quanvrob.quanv import QuanvExtractor, read_feature_cache, write_feature_cache
 
+from test_models import make_qunn_model
 from test_qsim import oracle_unitary  # independent Kronecker-matrix oracle
 
 
@@ -177,13 +179,14 @@ def test_encode_rejects_out_of_range():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_rejects_non_finite_pixels(value):
-    extractor = QuanvExtractor(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=0))
     image = np.full((4, 4), 0.5)
     image[2, 1] = value
-    with pytest.raises(ValueError, match="finite"):
-        extractor.forward(image)
-    with pytest.raises(ValueError, match="finite"):
-        extractor.input_gradient(image, np.zeros((2, 2, 4)))
+    quanv_extractor = QuanvExtractor(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=0))
+    for extractor in (quanv_extractor, ConvExtractor(build_conv_layer(0))):
+        with pytest.raises(ValueError, match="finite"):
+            extractor.forward(image)
+        with pytest.raises(ValueError, match="finite"):
+            extractor.input_gradient(image, np.zeros((2, 2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +322,76 @@ def test_gradient_locality_without_entanglement():
 def test_gradient_rejects_bad_upstream_shape():
     with pytest.raises(ValueError):
         identity_extractor().input_gradient(np.zeros((8, 8)), np.zeros((14, 14, 4)))
+
+
+# ---------------------------------------------------------------------------
+# The encoding memo: forward and input_gradient on the same pixels encode them once
+# ---------------------------------------------------------------------------
+
+
+def memo_ansatzes():
+    yield from (build_ansatz(kind, 4, seed=seed) for kind in AnsatzKind for seed in range(3))
+    yield entangled_ansatz(np.random.default_rng(5).uniform(0, 2 * np.pi, 30))
+
+
+def test_warm_calls_are_bitwise_cold_calls():
+    rng = np.random.default_rng(30)
+    for ansatz in memo_ansatzes():
+        for shape in ((4, 4), (5, 4, 4)):
+            image = random_image(rng, shape)
+            upstream = rng.normal(size=shape[:-2] + (2, 2, 4))
+            warm = QuanvExtractor(ansatz)
+            fmap = warm.forward(image)
+            assert np.array_equal(warm.forward(image), fmap)
+            grad = warm.input_gradient(image, upstream)
+            assert np.array_equal(fmap, QuanvExtractor(ansatz).forward(image))
+            assert np.array_equal(grad, QuanvExtractor(ansatz).input_gradient(image, upstream))
+            if len(shape) == 2:
+                assert np.max(np.abs(fmap - oracle_feature_map(image, ansatz))) <= 1e-12
+                assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
+
+
+def test_pixels_changed_in_place_are_encoded_again():
+    rng = np.random.default_rng(31)
+    ansatz = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=0)
+    extractor = QuanvExtractor(ansatz)
+    image = random_image(rng, (6, 6))
+    upstream = rng.normal(size=(3, 3, 4))
+    stale = extractor.forward(image), extractor.input_gradient(image, upstream)
+    image[2, 3] = 1.0 - image[2, 3]
+    fmap, grad = extractor.forward(image), extractor.input_gradient(image, upstream)
+    assert not np.array_equal(fmap, stale[0]) and not np.array_equal(grad, stale[1])
+    assert np.array_equal(fmap, QuanvExtractor(ansatz).forward(image.copy()))
+    assert np.array_equal(grad, QuanvExtractor(ansatz).input_gradient(image.copy(), upstream))
+
+
+def test_warm_extractor_still_rejects_non_finite_pixels():
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed=0))
+    image = np.full((4, 4), 0.5)
+    extractor.forward(image)
+    image[1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        extractor.forward(image)
+    with pytest.raises(ValueError, match="finite"):
+        extractor.input_gradient(image, np.zeros((2, 2, 4)))
+
+
+def test_writing_into_a_feature_map_leaves_the_next_forward_alone():
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.RANDOM, 4, seed=1))
+    image = random_image(np.random.default_rng(32), (4, 6, 6))
+    fmap = extractor.forward(image)
+    expected = fmap.copy()
+    fmap[...] = 7.0
+    assert np.array_equal(extractor.forward(image), expected)
+
+
+def test_model_gradient_cuts_patches_once(monkeypatch):
+    calls = []
+    patch_stack = quanv._patch_stack
+    monkeypatch.setattr(quanv, "_patch_stack", lambda image: calls.append(1) or patch_stack(image))
+    model = make_qunn_model(seed=2)
+    model.loss_and_input_gradient(random_image(np.random.default_rng(33), (3, 8, 8)), np.array([0, 4, 9]))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
