@@ -22,12 +22,12 @@ attack call per spec (per source and spec in transfer) over the whole stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classical import read_record
-from .models import accuracy
+from . import container
+from .models import accuracy, as_stack
 
 
 class AttackKind:
@@ -157,19 +157,9 @@ def _check_grid(specs) -> None:
         raise ValueError("attack grid epsilons must start at 0 and increase strictly")
 
 
-def _stack(images, labels, what: str):
-    """(N, H, W) images and (N,) labels as arrays, or a ValueError naming the shapes."""
-    images, labels = np.asarray(images, dtype=float), np.asarray(labels)
-    if len(images) == 0:
-        raise ValueError(f"cannot {what} on an empty image set")
-    if images.ndim != 3 or labels.shape != images.shape[:1]:
-        raise ValueError(f"expected (N, H, W) images with (N,) labels, got {images.shape} and {labels.shape}")
-    return images, labels
-
-
 def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
     """White-box accuracy-versus-epsilon curve of a model attacked by itself."""
-    images, labels = _stack(images, labels, "evaluate robustness")
+    images, labels = as_stack(images, labels, "evaluate robustness")
     _check_grid(specs)
     kind = specs[0].kind
     if kind == AttackKind.FGSM:
@@ -191,7 +181,7 @@ def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
 
 def transfer_attack(source_model, target_model, images, labels, spec: AttackSpec) -> float:
     """Accuracy of the target on examples crafted against the source."""
-    images, labels = _stack(images, labels, "evaluate a transfer attack")
+    images, labels = as_stack(images, labels, "evaluate a transfer attack")
     return accuracy(target_model, generate(source_model, images, labels, spec), labels)
 
 
@@ -222,7 +212,7 @@ class AdversarialBatch:
 
 
 def make_batch(model, images, labels, spec: AttackSpec) -> AdversarialBatch:
-    images, labels = _stack(images, labels, "make an adversarial batch")
+    images, labels = as_stack(images, labels, "make an adversarial batch")
     return AdversarialBatch(
         originals=images.copy(),
         adversarials=generate(model, images, labels, spec),
@@ -232,44 +222,14 @@ def make_batch(model, images, labels, spec: AttackSpec) -> AdversarialBatch:
 
 
 def save_batch(path, batch: AdversarialBatch) -> None:
-    """Text header, blank line, then (original, adversarial) f8 pairs."""
-    spec = batch.spec
-    n, h, w = batch.originals.shape
-    header = (
-        f"kind={spec.kind}\n"
-        f"epsilon={spec.epsilon:.17g}\n"
-        f"step_size={'' if spec.step_size is None else format(spec.step_size, '.17g')}\n"
-        f"iterations={'' if spec.iterations is None else spec.iterations}\n"
-        f"momentum={'' if spec.momentum is None else format(spec.momentum, '.17g')}\n"
-        f"source_fingerprint={batch.source_fingerprint}\n"
-        f"count={n}\nheight={h}\nwidth={w}\n\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(np.stack([batch.originals, batch.adversarials], axis=1).astype("<f8").tobytes())
+    header = {"spec": asdict(batch.spec), "source_fingerprint": batch.source_fingerprint}
+    container.save(path, "adversarial_batch", header, originals=batch.originals, adversarials=batch.adversarials)
 
 
 def load_batch(path) -> AdversarialBatch:
-    fields, body = read_record(
-        path,
-        ("kind", "epsilon", "step_size", "iterations", "momentum", "source_fingerprint", "count", "height", "width"),
-    )
-    n, h, w = int(fields["count"]), int(fields["height"]), int(fields["width"])
-    spec = AttackSpec(
-        kind=fields["kind"],
-        epsilon=float(fields["epsilon"]),
-        step_size=float(fields["step_size"]) if fields["step_size"] else None,
-        iterations=int(fields["iterations"]) if fields["iterations"] else None,
-        momentum=float(fields["momentum"]) if fields["momentum"] else None,
-    )
-    per_image = h * w
-    expected = 2 * n * per_image * 8
-    if len(body) != expected:
-        raise ValueError(f"adversarial batch {path} body has {len(body)} bytes, expected {expected}")
-    pairs = np.frombuffer(body, dtype="<f8").reshape(n, 2, h, w)
-    return AdversarialBatch(
-        originals=pairs[:, 0].copy(),
-        adversarials=pairs[:, 1].copy(),
-        source_fingerprint=fields["source_fingerprint"],
-        spec=spec,
-    )
+    header, arrays = container.load(path, "adversarial_batch")
+    try:
+        spec = AttackSpec(**header["spec"])
+        return AdversarialBatch(source_fingerprint=header["source_fingerprint"], spec=spec, **arrays)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"adversarial batch {path}: {exc}") from exc

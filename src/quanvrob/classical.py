@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import container
 from .patches import from_patches, to_patches
 
 N_FILTERS = 4
@@ -230,55 +231,17 @@ def adam_step(head: DenseHead, state: AdamState, grads, lr: float):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: text header, blank line, then W and b as little-endian f8
+# Checkpoints
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(path, kind: str, extractor_seed: int, extractor_fingerprint: str, head: DenseHead) -> None:
-    header = (
-        f"kind={kind}\n"
-        f"extractor_seed={extractor_seed}\n"
-        f"extractor_fingerprint={extractor_fingerprint}\n"
-        f"in_dim={head.weights.shape[1]}\n\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(head.weights.astype("<f8").tobytes(order="C"))
-        fh.write(head.bias.astype("<f8").tobytes(order="C"))
-
-
-def read_record(path, required):
-    """Split a text-header file into its ``key=value`` fields and its binary body.
-
-    Raises ``ValueError`` naming the file and the problem when the header is
-    missing, a header line has no ``=``, or a ``required`` field is absent.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    sep = raw.find(b"\n\n")
-    if sep < 0:
-        raise ValueError(f"{path} has no header")
-    fields = {}
-    for line in raw[:sep].decode().splitlines():
-        if "=" not in line:
-            raise ValueError(f"{path} has a malformed header line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key] = value
-    for name in required:
-        if name not in fields:
-            raise ValueError(f"{path} header is missing the field {name!r}")
-    return fields, raw[sep + 2 :]
+    header = dict(model_kind=kind, extractor_seed=int(extractor_seed), extractor_fingerprint=extractor_fingerprint)
+    container.save(path, "checkpoint", header, weights=head.weights, bias=head.bias)
 
 
 def load_checkpoint(path):
-    fields, body = read_record(path, ("kind", "extractor_seed", "extractor_fingerprint", "in_dim"))
-    in_dim = int(fields["in_dim"])
-    expected = 8 * (N_CLASSES * in_dim + N_CLASSES)
-    if len(body) != expected:
-        raise ValueError(f"checkpoint {path} body has {len(body)} bytes, expected {expected}")
-    weights = np.frombuffer(body, dtype="<f8", count=N_CLASSES * in_dim).reshape(
-        N_CLASSES, in_dim
-    )
-    bias = np.frombuffer(body, dtype="<f8", count=N_CLASSES, offset=8 * N_CLASSES * in_dim)
-    head = DenseHead(weights=weights.copy(), bias=bias.copy())
-    return fields["kind"], int(fields["extractor_seed"]), fields["extractor_fingerprint"], head
+    header, arrays = container.load(path, "checkpoint")
+    if len(arrays["bias"]) != N_CLASSES:
+        raise ValueError(f"checkpoint {path} holds a head for {len(arrays['bias'])} classes, expected {N_CLASSES}")
+    return header["model_kind"], header["extractor_seed"], header["extractor_fingerprint"], DenseHead(**arrays)

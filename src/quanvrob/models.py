@@ -82,13 +82,19 @@ class Model:
         return self.loss_and_input_gradient(image, label)[1]
 
 
-def accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of an (N, H, W) stack that the model labels correctly."""
+def as_stack(images, labels, what: str):
+    """(N, H, W) images and (N,) labels as arrays, or a ValueError naming the shapes."""
     images, labels = np.asarray(images, dtype=float), np.asarray(labels)
     if len(images) == 0:
-        raise ValueError("cannot score an empty image set")
-    if labels.shape != (len(images),):
-        raise ValueError(f"labels of shape {labels.shape} do not match {len(images)} images")
+        raise ValueError(f"cannot {what} on an empty image set")
+    if images.ndim != 3 or labels.shape != images.shape[:1]:
+        raise ValueError(f"expected (N, H, W) images with (N,) labels, got {images.shape} and {labels.shape}")
+    return images, labels
+
+
+def accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of an (N, H, W) stack that the model labels correctly."""
+    images, labels = as_stack(images, labels, "score accuracy")
     hits = sum(
         int(np.count_nonzero(model.predict_label(images[s : s + BLOCK]) == labels[s : s + BLOCK]))
         for s in range(0, len(images), BLOCK)

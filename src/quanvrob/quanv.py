@@ -72,10 +72,10 @@ forward-and-gradient method: the memo keeps the two-call surface that
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+from . import container
 from .ansatz import Ansatz
 from .patches import from_patches, to_patches
 from .qsim import StateVector, run_program
@@ -238,45 +238,20 @@ class QuanvExtractor:
 # ---------------------------------------------------------------------------
 # Disk cache for frozen-extractor feature maps
 # ---------------------------------------------------------------------------
-# Record layout, little endian: u32 image index, 32-byte extractor
-# fingerprint digest, then the 784 feature values as f8.
-
-_FEATURES_PER_RECORD = 14 * 14 * 4
-_RECORD = np.dtype([("index", "<u4"), ("digest", "S32"), ("features", "<f8", (_FEATURES_PER_RECORD,))])
 
 
 def write_feature_cache(
     path, fingerprint_hex: str, indices: np.ndarray, feature_maps: np.ndarray
 ) -> None:
-    digest = bytes.fromhex(fingerprint_hex)
-    if len(digest) != 32:
-        raise ValueError("fingerprint must be a 32-byte hex digest")
     indices = np.asarray(indices)
-    maps = np.asarray(feature_maps, dtype=float).reshape(len(indices), -1)
-    if maps.shape[1] != _FEATURES_PER_RECORD:
-        raise ValueError(f"each record must hold {_FEATURES_PER_RECORD} features")
-    if indices.size and not (indices.min() >= 0 and indices.max() < 2**32):
-        raise ValueError("image indices must fit in an unsigned 32-bit integer")
-    records = np.empty(len(indices), dtype=_RECORD)
-    records["index"] = indices
-    records["digest"] = digest
-    records["features"] = maps
-    with open(path, "wb") as fh:
-        records.tofile(fh)
+    if indices.dtype.kind not in "iu" or (indices.size and indices.min() < 0):
+        raise ValueError("image indices must be non-negative integers")
+    container.save(path, "feature_cache", {"fingerprint": fingerprint_hex}, indices=indices, maps=feature_maps)
 
 
 def read_feature_cache(path, expected_fingerprint_hex: str | None = None):
-    """Load cached maps as {image index: (14, 14, 4) array}, plus the digest."""
-    with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size % _RECORD.itemsize:
-            raise ValueError(f"feature cache {path} is truncated")
-        records = np.fromfile(fh, dtype=_RECORD)
-    digests = records["digest"]
-    if np.any(digests != digests[:1]):
-        raise ValueError("feature cache mixes records from different extractors")
-    # an S32 item drops trailing zero bytes; the raw buffer keeps all 32
-    digest_hex = digests[:1].tobytes().hex() if len(records) else None
-    if expected_fingerprint_hex is not None and digest_hex != expected_fingerprint_hex:
-        raise ValueError("feature cache was written by a different extractor")
-    features = records["features"].reshape(-1, 14, 14, 4)
-    return dict(zip(records["index"].tolist(), features)), digest_hex
+    """Load cached maps as {image index: (hp, wp, C) array}, plus the extractor fingerprint."""
+    header, arrays = container.load(path, "feature_cache")
+    if expected_fingerprint_hex is not None and header["fingerprint"] != expected_fingerprint_hex:
+        raise ValueError(f"feature cache {path} was written by a different extractor")
+    return dict(zip(arrays["indices"].tolist(), arrays["maps"])), header["fingerprint"]

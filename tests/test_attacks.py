@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from quanvrob.attacks import (
     save_batch,
     transfer_attack,
 )
+from quanvrob.classical import save_checkpoint
 from quanvrob.qsim import GateKind
 
+from test_container import rewrite_header
 from test_models import make_cnn_model, make_qunn_model
 
 
@@ -379,10 +383,9 @@ def test_batch_rejects_malformed_header(tmp_path):
     batch = make_batch(model, images, np.zeros(2, dtype=int), make_spec(AttackKind.FGSM, 0.1))
     path = tmp_path / "batch.advb"
     save_batch(path, batch)
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"height=8\n", b""))
-    with pytest.raises(ValueError, match="height"):
+    rewrite_header(path, lambda header: header.pop("source_fingerprint"))
+    with pytest.raises(ValueError, match=re.escape("missing the fields ['source_fingerprint']")):
         load_batch(path)
-    path.write_bytes(raw.replace(b"height=8\n", b"height 8\n"))
-    with pytest.raises(ValueError, match="height 8"):
+    save_checkpoint(path, "cnn", 13, model.extractor.fingerprint, model.head)
+    with pytest.raises(ValueError, match="kind is 'checkpoint', expected 'adversarial_batch'"):
         load_batch(path)

@@ -232,6 +232,8 @@ def test_labels_not_matching_the_stack_are_rejected():
         model.loss(images, bad)
     with pytest.raises(ValueError, match=message):
         accuracy(model, images, bad)
+    with pytest.raises(ValueError, match=re.escape("(8, 8)")):
+        accuracy(model, images[0], labels[:1].repeat(8))  # one (H, W) image with (H,) labels
     spec = make_spec(AttackKind.FGSM, 0.0)  # takes no gradient, so the attack helpers must check
     with pytest.raises(ValueError, match=message):
         transfer_attack(model, model, images, bad, spec)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from quanvrob.classical import (
     save_checkpoint,
     softmax,
 )
+
+from test_container import rewrite_header
 
 # ---------------------------------------------------------------------------
 # conv_forward
@@ -321,10 +324,10 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
     head = build_dense_head(seed=11, in_dim=16)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, "cnn", 11, "f" * 64, head)
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"extractor_seed=11\n", b""))
-    with pytest.raises(ValueError, match="extractor_seed"):
+    rewrite_header(path, lambda header: header.pop("extractor_seed"))
+    with pytest.raises(ValueError, match=re.escape("missing the fields ['extractor_seed']")):
         load_checkpoint(path)
-    path.write_bytes(raw.replace(b"extractor_seed=11\n", b"extractor_seed 11\n"))
-    with pytest.raises(ValueError, match="extractor_seed 11"):
+    save_checkpoint(path, "cnn", 11, "f" * 64, head)
+    rewrite_header(path, lambda header: header.update(version=2))
+    with pytest.raises(ValueError, match="version is 2, expected 1"):
         load_checkpoint(path)
