@@ -61,7 +61,7 @@ def save(path, kind: str, header: dict, **arrays) -> None:
     """Write ``header`` and the arrays of ``kind`` to ``path``."""
     arrays = {name: np.asarray(arrays[name], dtype=dtype) for name, (dtype, _) in KINDS[kind][1].items()}
     _check(kind, header, arrays)
-    record = {"kind": kind, "version": VERSION, "arrays": list(arrays), **header}
+    record = {**header, "kind": kind, "version": VERSION, "arrays": list(arrays)}
     # np.save to a str path would append ".npy" to a name like "x.ckpt"
     with open(path, "wb") as fh:
         np.save(fh, np.frombuffer(json.dumps(record).encode(), dtype=np.uint8))
