@@ -2,7 +2,15 @@
 
 The classical extractor is a frozen 2x2, stride-2 convolution with 4
 filters and ReLU, drawn once from uniform [-1, 1] with zero bias, so it
-produces the same 14x14x4 feature geometry as the quanvolutional path.
+produces the same 14x14x4 feature geometry as the quanvolutional path.  It
+reads each image through its pixel planes (:func:`quanvrob.patches.planes`):
+per image, the (filters, 4) kernel matrix times the (4, P) planes, with the
+bias added straight into the channel-last feature map.  Its input gradient
+is the transposed product, written back through the planes of the image.
+``ConvExtractor`` keeps the pre-activation of the last stack it saw, keyed
+by its bytes like the quanv encoding memo, so a model gradient convolves
+once and reads its ReLU mask from the forward pass.
+
 Both extractors feed the same trainable piece: a dense layer with softmax
 over 10 classes, optimized with Adam on the cross-entropy loss.
 """
@@ -15,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .patches import from_patches, to_patches
+from .patches import planes
 
 N_FILTERS = 4
 KERNEL = 2
@@ -36,16 +44,19 @@ def build_conv_layer(seed: int) -> ConvLayer:
 
 
 def conv_preactivation(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """The convolution before its ReLU, (H/2, W/2, filters) for an image, with a leading N for a stack."""
     image = np.asarray(image, dtype=float)
     # any finite pixel is accepted, also outside [0, 1]
     if not np.all(np.isfinite(image)):
         raise ValueError("image pixels must be finite")
-    patches = to_patches(image)
-    hp, wp = image.shape[-2] // 2, image.shape[-1] // 2
-    # (..., P, 4) @ (4, filters) is one matrix product per image, so an image's
+    pixels = planes(image)
+    n, _, _, hp, wp = pixels.shape
+    pre = np.empty(image.shape[:-2] + (hp, wp, N_FILTERS))
+    # (filters, 4) @ (4, P) is one matrix product per image, so an image's
     # result does not depend on the stack around it
-    pre = patches @ layer.kernels.reshape(N_FILTERS, -1).T + layer.bias
-    return pre.reshape(image.shape[:-2] + (hp, wp, N_FILTERS))
+    channels = layer.kernels.reshape(N_FILTERS, -1) @ pixels.reshape(n, 4, hp * wp)
+    np.add(channels, layer.bias[:, None], out=pre.reshape(n, hp * wp, N_FILTERS).swapaxes(1, 2))
+    return pre
 
 
 def conv_forward(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -56,7 +67,11 @@ def conv_forward(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
 def conv_input_gradient(
     layer: ConvLayer, upstream: np.ndarray, forward_activations: np.ndarray
 ) -> np.ndarray:
-    """Backprop through ReLU then scatter each filter kernel to its patch."""
+    """Backprop through ReLU then scatter each filter kernel to its patch.
+
+    Only the sign of ``forward_activations`` is read, so the ReLU's input
+    serves as well as its output.
+    """
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != forward_activations.shape:
         raise ValueError(
@@ -65,19 +80,30 @@ def conv_input_gradient(
         )
     *lead, hp, wp, _ = upstream.shape
     masked = upstream * (forward_activations > 0.0)
-    # (..., patches, filters) x (filters, 4) -> per-patch pixel gradients
-    grad_patch = masked.reshape(*lead, hp * wp, N_FILTERS) @ layer.kernels.reshape(N_FILTERS, -1)
-    return from_patches(grad_patch, hp, wp)
+    grad = np.empty((*lead, 2 * hp, 2 * wp))
+    pixels = planes(grad)
+    # (4, filters) @ (filters, P) per image: each patch's pixel gradients, in plane order
+    pixels[...] = (
+        layer.kernels.reshape(N_FILTERS, -1).T @ masked.reshape(len(pixels), hp * wp, N_FILTERS).swapaxes(1, 2)
+    ).reshape(pixels.shape)
+    return grad
 
 
 class ConvExtractor:
-    """Frozen random convolution presented with the shared extractor surface."""
+    """Frozen random convolution presented with the shared extractor surface.
+
+    Like ``QuanvExtractor`` it keeps the pre-activation of the last image it
+    saw, keyed by the float64 image's shape and bytes, so the input gradient
+    after a forward pass on the same pixels reads its ReLU mask instead of
+    convolving again.
+    """
 
     kind = "cnn"
 
     def __init__(self, layer: ConvLayer):
         self.layer = layer
         self.seed = layer.seed
+        self._last = None  # (key, pre-activation) of the last image
 
     @property
     def fingerprint(self) -> str:
@@ -89,11 +115,21 @@ class ConvExtractor:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def _preactivation(self, image: np.ndarray) -> np.ndarray:
+        image = np.asarray(image, dtype=float)
+        key = (image.shape, image.tobytes())
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        pre = conv_preactivation(image, self.layer)
+        self._last = key, pre
+        return pre
+
     def forward(self, image: np.ndarray) -> np.ndarray:
-        return conv_forward(image, self.layer)
+        return np.maximum(self._preactivation(image), 0.0)
 
     def input_gradient(self, image: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        return conv_input_gradient(self.layer, upstream, self.forward(image))
+        return conv_input_gradient(self.layer, upstream, self._preactivation(image))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +210,7 @@ def loss_and_grads(head: DenseHead, probs: np.ndarray, label, features: np.ndarr
     if flat.shape[:-1] != dlogits.shape[:-1]:
         raise ValueError(f"features of shape {flat.shape} do not match probabilities {dlogits.shape}")
     if dlogits.ndim == 1:
-        d_weights, d_bias = np.outer(dlogits, flat), dlogits
+        d_weights, d_bias = dlogits[:, None] * flat, dlogits
     else:
         d_weights, d_bias = dlogits.T @ flat, dlogits.sum(axis=0)
     # one matrix-vector product per sample, as in dense_forward

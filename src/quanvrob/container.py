@@ -12,7 +12,10 @@ item along its first axis (per image, or per class of a head), so all the
 arrays of a file share that length.  ``save`` and ``load`` check the same
 rules, so a file ``save`` writes is one ``load`` reads, and ``load`` rejects
 anything else with a ``ValueError`` that names the path.  Arrays are read
-with ``allow_pickle=False``.
+with ``allow_pickle=False``, and only from records in ``.npy`` format 1.0,
+the one ``save`` writes: its header length is a 2-byte field, where later
+formats have a 4-byte one, so a corrupt version byte cannot make numpy ask
+for a read buffer of gigabytes.
 
 Version rule.  ``VERSION`` goes up whenever the layout or a kind's fields or
 arrays change.  A reader accepts its own version only; there is no reader
@@ -69,6 +72,15 @@ def save(path, kind: str, header: dict, **arrays) -> None:
             np.save(fh, array)
 
 
+def _read_record(fh) -> np.ndarray:
+    start = fh.tell()
+    version = np.lib.format.read_magic(fh)
+    if version != (1, 0):
+        raise ValueError(f"a record is in .npy format {version[0]}.{version[1]}, expected 1.0")
+    fh.seek(start)
+    return np.load(fh, allow_pickle=False)
+
+
 def load(path, kind: str):
     """The header and the arrays of a ``kind`` file, as two dicts."""
     with open(path, "rb") as fh:
@@ -76,11 +88,11 @@ def load(path, kind: str):
         # header parser lets exceptions such as tokenize.TokenError through,
         # so no fixed list of types covers a corrupt file
         try:
-            header = json.loads(np.load(fh, allow_pickle=False).tobytes())
+            header = json.loads(_read_record(fh).tobytes())
             for key, value in {"kind": kind, "version": VERSION, "arrays": list(KINDS[kind][1])}.items():
                 if header.get(key) != value:
                     raise ValueError(f"its {key} is {header.get(key)!r}, expected {value!r}")
-            arrays = {name: np.load(fh, allow_pickle=False) for name in header["arrays"]}
+            arrays = {name: _read_record(fh) for name in header["arrays"]}
             if fh.read(1):
                 raise ValueError("trailing bytes after the last array")
             _check(kind, header, arrays)

@@ -1,6 +1,6 @@
 """Quanvolutional feature extraction.
 
-An even-sided grayscale image is cut into 2x2 patches at stride 2 (see
+An even-sided grayscale image is read as 2x2 patches at stride 2 (see
 :mod:`quanvrob.patches`).  Pixel q of a patch, row-major (top-left -> qubit
 0, top-right -> 1, bottom-left -> 2, bottom-right -> 3), is angle-encoded as
 Ry(theta_q)|0> with theta_q = pi * p_q, the fixed filter circuit U is
@@ -33,55 +33,70 @@ Term list.  The derivative in theta_q swaps qubit q's factor for
 r'(theta) = (0, cos theta, -sin theta), so it is the table D_q whose qubit-q
 (I, X, Z) entries are (0, -c_Z, c_X).  The extractor keeps only the M Pauli
 strings that are nonzero in the table or in some D_q, as the rows of
-``QuanvExtractor.terms`` (the Pauli index of each qubit), with the readout
-coefficients of each channel and a (16, M) derivative matrix, rows (q, k).
-Every layout's channel k reads only X_k and Z_k, so M = 8; a circuit with
-rotations after its couplings has a dense table and M near 80.
-``QuanvExtractor.support`` names the pixels each channel reads.
+``QuanvExtractor.terms`` (the Pauli index of each qubit), ordered by
+descending weight, the number of qubits that are not I.  With them go the
+readout coefficients of each channel and a (16, M) derivative matrix, rows
+(q, k).  The all-I string never appears: U^dag Z_k U is traceless and every
+D_q is 0 on it.  Every layout's channel k reads only X_k and Z_k, so M = 8
+strings of weight 1; a circuit with rotations after its couplings has a
+dense table and M near 80.  ``QuanvExtractor.support`` names the pixels each
+channel reads.
 
-Evaluation.  The angles of each image are laid out as (4, P), qubit by
-patch, with the patch axis last.  Per block of ``BLOCK`` images, the
-monomials F[m] = prod_q r_{s_q}(theta_q) of the M strings, (n, M, P), are
-built from one gather of the factors r_{s_q} per qubit.  The forward pass adds coefficient times F elementwise, in
-rounds: round j adds the j-th term of every channel, so each channel sums
-its terms in one fixed order.  A patch's features then do not depend on how
-many patches share the call, and a stack gives bitwise the results of its
-images one at a time.  A matrix product would not: it hands a one-patch
-image to a matrix-vector routine, which rounds differently.  The input
-gradient is one product of the derivative matrix with F, whose channels are
-then summed against the upstream cotangent elementwise, times the pi of
-d(theta)/d(pixel).  For a one-patch image the last bit of that product can
-differ from that of the same patch in a larger image.  The sine is taken as
-sin(pi * min(p, 1 - p)): 1 - p is exact for p >= 1/2, so a derivative that
-vanishes at pixel 1 by structure comes out as exactly 0, as at pixel 0.
+Evaluation.  :func:`quanvrob.patches.planes` shows an (N, H, W) stack as
+its (N, 2, 2, H/2, W/2) pixel planes, a view: plane (a, b) holds qubit
+2a + b of every patch.  The sine and cosine of the angles are written
+through it straight into an (N, 2, 4, P) factor block, sin then cos, qubit
+by patch with the patch axis last.  The monomials
+F[n, m] = prod_q r_{s_q}(theta_q), (N, M, P), need only the non-identity
+factors of each string, taken in qubit order; r_I = 1 would only multiply
+by 1.  Since the strings are ordered by weight, those with a j-th factor
+are a prefix of F, so F is one gather of every string's first factor
+followed by one gathered product per further factor on that prefix: for
+M = 8 F is the single gather.  The whole stack is encoded in one pass.
+
+The forward pass gathers each channel's terms into an (N, R, 4, P) block,
+R the most terms of any channel, padded with coefficient 0, scales it by
+the coefficients and reduces its R axis.  numpy adds the slices of an axis
+that is not the innermost one in order, from 0, so each channel sums its
+terms in lexicographic string order, whatever their order in F.  A
+patch's features then do not depend on how many patches share the call,
+and a stack gives bitwise the results of its images one at a time.  A
+matrix product would not: it hands a one-patch image to a matrix-vector
+routine, which rounds differently, and a reduction over the innermost
+axis sums pairwise.  The features are clipped straight into
+the channel-last feature map.  The input gradient is one product of the
+derivative matrix with F, whose channels are then summed against the
+upstream cotangent elementwise, in channel order, and times the pi of
+d(theta)/d(pixel) written straight into the image's pixel planes.  For a
+one-patch image the last bit of that product can differ from that of the
+same patch in a larger image.  The sine is taken as sin(pi * min(p, 1 - p)):
+1 - p is exact for p >= 1/2, so a derivative that vanishes at pixel 1 by
+structure comes out as exactly 0, as at pixel 0.
 
 Encoding memo.  A model gradient calls ``forward`` and then
 ``input_gradient`` on the same pixels.  The extractor keeps the encoding of
-the last image it saw, keyed by the float64 image's shape and bytes: the
-image and feature-map shapes and the list of F blocks, M * P * 8 bytes per
-image (12.5 KB for a 28x28 image at M = 8) besides the key's copy of the
-pixels.  A call on equal bytes skips the range check, which those pixels
-passed, the patches, sin/cos and the gathers, and returns the same bits as
-a cold call; a stored F is never written.  A key of identity would reuse
-the encoding of pixels changed in place, and an element-wise compare
-against a stored copy cost more than the bytes.  There is no fused
+the last stack it saw, keyed by the float64 image's shape and bytes: the
+image and feature-map shapes and F, M * P * 8 bytes per image (12.5 KB for
+a 28x28 image at M = 8, 125 KB at M = 80) besides the key's copy of the
+pixels (6.1 KB).  A call on equal bytes skips the range check, which those
+pixels passed, sin/cos and the gathers, and returns the same bits as a
+cold call; a stored F is never written.  A key of identity would reuse the
+encoding of pixels changed in place, and an element-wise compare against a
+stored copy cost more than the bytes.  There is no fused
 forward-and-gradient method: the memo keeps the two-call surface that
 ``models.Model`` and wrappers of an extractor rely on.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import container
 from .ansatz import Ansatz
-from .patches import from_patches, to_patches
+from .patches import planes
 from .qsim import StateVector, run_program
 
 N_QUBITS = 4
-BLOCK = 4  # images per contraction block
 SNAP = 64 * np.finfo(float).eps  # table entries at most this large are rounding residue
 
 # I, X and Z: the Pauli matrices whose expectation on Ry(theta)|0> is
@@ -89,13 +104,6 @@ SNAP = 64 * np.finfo(float).eps  # table entries at most this large are rounding
 _PAULIS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
 # r'(theta) = (0, cos theta, -sin theta) = _DR @ r(theta)
 _DR = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-
-
-def _patch_stack(image: np.ndarray):
-    """The image's patches as an (N, P, 4) stack, and the shape of its feature map."""
-    patches = to_patches(image)
-    fmap_shape = image.shape[:-2] + (image.shape[-2] // 2, image.shape[-1] // 2, N_QUBITS)
-    return patches.reshape(-1, *patches.shape[-2:]), fmap_shape
 
 
 def _ansatz_unitary(ansatz: Ansatz) -> np.ndarray:
@@ -126,6 +134,7 @@ def _pauli_table(unitary: np.ndarray) -> np.ndarray:
     )
     table /= 2**N_QUBITS
     table[np.abs(table) <= SNAP] = 0.0
+    table[0, 0, 0, 0] = 0.0  # U^dag Z_k U is traceless: the all-I string is rounding residue
     return table
 
 
@@ -142,16 +151,24 @@ class QuanvExtractor:
         # D_q, shape (4, 3, 3, 3, 3, 4): qubit q's factor r swapped for r'
         derivs = np.stack([np.moveaxis(np.tensordot(_DR, self.table, (0, q)), 0, q) for q in range(N_QUBITS)])
         used = np.any(self.table != 0, axis=-1) | np.any(derivs != 0, axis=(0, -1))
-        self.terms = np.argwhere(used)  # (M, 4)
-        strings = tuple(self.terms.T)
-        self._rows = (self.terms + 3 * np.arange(N_QUBITS)).T.copy()  # row 3 q + s_q of r, per qubit
-        self._deriv = derivs[(slice(None),) + strings].transpose(0, 2, 1).reshape(N_QUBITS**2, len(self.terms))
-        # the readout in rounds: round j holds each channel's j-th term, with
-        # coefficient 0 once the channel has none left
-        readout = self.table[strings].T
+        terms = np.argwhere(used)
+        # the readout: each channel's terms in lexicographic string order, the
+        # order in which it sums them, padded with coefficient 0 to the longest
+        readout = self.table[tuple(terms.T)].T
         order = np.argsort(readout == 0, axis=1, kind="stable")[:, : np.count_nonzero(readout, axis=1).max()]
-        self._round_terms = order.T.copy()
-        self._round_coefs = np.take_along_axis(readout, order, axis=1).T[..., None].copy()
+        self._readout_coefs = np.take_along_axis(readout, order, axis=1).T[..., None].copy()  # (R, 4, 1)
+        # strings by descending weight, so that the strings with a j-th
+        # non-identity factor are a prefix; the all-I string is 0 in the table
+        # and in every D_q, so every kept string has weight >= 1
+        by_weight = np.argsort(-np.count_nonzero(terms, axis=1), kind="stable")
+        self.terms = terms[by_weight]  # (M, 4)
+        self._readout_terms = np.argsort(by_weight)[order.T]  # (R, 4), into self.terms
+        # per string, the rows of its non-identity factors in qubit order, in
+        # the (sin, cos) x qubit rows of _encode's factor block
+        factors = [[N_QUBITS * (s - 1) + q for q, s in enumerate(term) if s] for term in self.terms.tolist()]
+        width = max(map(len, factors), default=1)
+        self._factors = [np.array([f[j] for f in factors if len(f) > j], dtype=np.intp) for j in range(width)]
+        self._deriv = derivs[(slice(None),) + tuple(self.terms.T)].transpose(0, 2, 1).reshape(N_QUBITS**2, -1)
         self._last = None  # (key, encoding) of the last image encoded, see _encode
 
     @property
@@ -166,52 +183,47 @@ class QuanvExtractor:
         return tuple(frozenset(np.flatnonzero(row.any(axis=0)).tolist()) for row in reads)
 
     def _encode(self, image: np.ndarray):
-        """The image's shape, its feature map's shape and the monomials F per block of ``BLOCK`` images.
+        """The image's shape, its feature map's shape and the monomials F of its patches.
 
-        F[n, m] = prod_q r_{s_q}(theta_q), with r = (1, sin, cos), of every
-        kept string over the patches: (n, M, P).  The last encoding is
-        reused for equal pixels (see "Encoding memo" above).
+        F[n, m, p] = prod_q r_{s_q}(theta_q), with r = (1, sin, cos), of every
+        kept string m over the patches p of image n: (N, M, P).  The last
+        encoding is reused for equal pixels (see "Encoding memo" above).
         """
         image = np.asarray(image, dtype=float)
         key = (image.shape, image.tobytes())
         last = self._last
         if last is not None and last[0] == key:
             return last[1]
-        patches, fmap_shape = _patch_stack(image)
-        pixels = patches.swapaxes(1, 2)
+        pixels = planes(image)
         # min(p, 1 - p) is negative outside [0, 1] and NaN for NaN, so it also checks the range
-        folded = np.minimum(pixels, 1.0 - pixels)
+        folded = np.minimum(image, 1.0 - image)
         if folded.size and not folded.min() >= 0.0:
             raise ValueError("image pixels must be finite and lie in [0, 1]")
-        blocks = []
-        for start in range(0, len(pixels), BLOCK):
-            block = pixels[start : start + BLOCK]
-            n = len(block)
-            r = np.empty((n, N_QUBITS, 3, block.shape[-1]))
-            r[:, :, 0] = 1.0
-            # sin(pi p) = sin(pi (1 - p)); 1 - p is exact for p >= 1/2, so pixel 1 gives sin = 0 exactly
-            np.sin(np.pi * folded[start : start + BLOCK], out=r[:, :, 1])
-            np.cos(np.pi * block, out=r[:, :, 2])
-            r = r.reshape(n, 3 * N_QUBITS, -1)
-            f = np.take(r, self._rows[0], axis=1)
-            for rows in self._rows[1:]:
-                f *= np.take(r, rows, axis=1)
-            blocks.append(f)
-        encoding = image.shape, fmap_shape, blocks
+        n, _, _, hp, wp = pixels.shape
+        r = np.empty((n, 2, N_QUBITS, hp * wp))
+        # sin(pi p) = sin(pi (1 - p)); 1 - p is exact for p >= 1/2, so pixel 1 gives sin = 0 exactly
+        np.sin(np.pi * planes(folded), out=r[:, 0].reshape(pixels.shape))
+        np.cos(np.pi * pixels, out=r[:, 1].reshape(pixels.shape))
+        r = r.reshape(n, 2 * N_QUBITS, hp * wp)
+        f = np.take(r, self._factors[0], axis=1)
+        for rows in self._factors[1:]:
+            f[:, : len(rows)] *= np.take(r, rows, axis=1)
+        encoding = image.shape, image.shape[:-2] + (hp, wp, N_QUBITS), f
         self._last = key, encoding
         return encoding
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         """Feature map of an (H, W) image, (H/2, W/2, 4), or of an (N, H, W) stack."""
-        _, fmap_shape, blocks = self._encode(image)
-        z = np.zeros((math.prod(fmap_shape[:-3]), N_QUBITS, fmap_shape[-3] * fmap_shape[-2]))
-        for start, f in zip(range(0, len(z), BLOCK), blocks):
-            out = z[start : start + BLOCK]
-            for terms, coefs in zip(self._round_terms, self._round_coefs):
-                out += coefs * np.take(f, terms, axis=1)
+        _, fmap_shape, f = self._encode(image)
+        terms = np.take(f, self._readout_terms, axis=1)  # (N, R, 4, P)
+        terms *= self._readout_coefs
+        # numpy reduces an axis that is not the innermost by adding its slices
+        # in order, so each channel sums its terms in one order for any P
+        z = np.add.reduce(terms, axis=1, initial=0.0)
+        fmap = np.empty(fmap_shape)
         # rounding can take |<Z_k>| past 1 by ~1e-16; the contract is [-1, 1]
-        fmap = np.ascontiguousarray(np.clip(z, -1.0, 1.0).swapaxes(1, 2))
-        return fmap.reshape(fmap_shape)
+        np.clip(z, -1.0, 1.0, out=fmap.reshape(z.swapaxes(1, 2).shape).swapaxes(1, 2))
+        return fmap
 
     def input_gradient(self, image: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Pixel gradient for a given feature-map cotangent, of the image's shape.
@@ -219,20 +231,18 @@ class QuanvExtractor:
         Each pixel drives exactly one encoding angle of one patch, so the
         chain rule reduces to pi * sum_k upstream_k * d<Z_k>/d(theta_q).
         """
-        image_shape, fmap_shape, blocks = self._encode(image)
+        image_shape, fmap_shape, f = self._encode(image)
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != fmap_shape:
             raise ValueError(f"upstream shape {upstream.shape} does not match the feature map {fmap_shape}")
-        up = np.ascontiguousarray(upstream.reshape(math.prod(fmap_shape[:-3]), -1, N_QUBITS).swapaxes(1, 2))
-        grad = np.zeros(up.shape)
-        for start, f in zip(range(0, len(up), BLOCK), blocks):
-            dz = (self._deriv @ f).reshape(len(f), N_QUBITS, N_QUBITS, -1)  # (n, q, k, P)
-            u = up[start : start + BLOCK, None]
-            out = grad[start : start + BLOCK]
-            for k in range(N_QUBITS):
-                out += dz[:, :, k] * u[:, :, k]
-        grad *= np.pi
-        return from_patches(grad.swapaxes(1, 2), *fmap_shape[-3:-1]).reshape(image_shape)
+        n, n_patches = len(f), f.shape[-1]
+        dz = (self._deriv @ f).reshape(n, N_QUBITS, N_QUBITS, n_patches)  # (N, q, k, P)
+        dz *= upstream.reshape(n, n_patches, N_QUBITS).swapaxes(1, 2)[:, None]
+        grad = np.add.reduce(dz, axis=2, initial=0.0)  # channels in order, as in forward
+        out = np.empty(image_shape)
+        view = planes(out)
+        np.multiply(grad.reshape(view.shape), np.pi, out=view)
+        return out
 
 
 # ---------------------------------------------------------------------------

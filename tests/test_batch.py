@@ -32,7 +32,7 @@ MODELS["entangled"] = Model(
     QuanvExtractor(entangled_ansatz(np.random.default_rng(3).uniform(0, 2 * np.pi, 30))),
     build_dense_head(4, in_dim=64),
 )
-N_IMAGES = 6  # more than one contraction block of quanv
+N_IMAGES = 6
 
 
 def stack(seed=0, n=N_IMAGES):
@@ -63,6 +63,13 @@ def test_extractor_stack_matches_images(kind):
     grads = extractor.input_gradient(images, upstream)
     assert grads.shape == images.shape
     assert np.array_equal(grads, one_by_one(extractor.input_gradient, images, upstream))
+
+
+@pytest.mark.parametrize("kind", KINDS + ["entangled"], ids=str)
+def test_empty_stack_gives_empty_maps_and_gradients(kind):
+    extractor = MODELS[kind].extractor
+    assert extractor.forward(np.zeros((0, 8, 8))).shape == (0, 4, 4, 4)
+    assert extractor.input_gradient(np.zeros((0, 8, 8)), np.zeros((0, 4, 4, 4))).shape == (0, 8, 8)
 
 
 @pytest.mark.parametrize("kind", KINDS + ["entangled"], ids=str)

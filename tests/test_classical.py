@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from quanvrob import classical
 from quanvrob.classical import (
     AdamState,
     ConvLayer,
@@ -24,6 +25,7 @@ from quanvrob.classical import (
 )
 
 from test_container import rewrite_header
+from test_models import make_cnn_model
 
 # ---------------------------------------------------------------------------
 # conv_forward
@@ -291,6 +293,32 @@ def test_conv_extractor_gradient_matches_direct_call():
     upstream = rng.normal(size=(4, 4, 4))
     direct = conv_input_gradient(extractor.layer, upstream, conv_forward(image, extractor.layer))
     assert np.array_equal(extractor.input_gradient(image, upstream), direct)
+
+
+def test_conv_model_gradient_convolves_once(monkeypatch):
+    calls = []
+    preactivation = classical.conv_preactivation
+    monkeypatch.setattr(classical, "conv_preactivation", lambda *args: calls.append(1) or preactivation(*args))
+    model = make_cnn_model(seed=4)
+    model.loss_and_input_gradient(np.random.default_rng(34).random((3, 8, 8)), np.array([1, 5, 8]))
+    assert len(calls) == 1
+
+
+def test_conv_warm_calls_are_bitwise_cold_calls():
+    rng = np.random.default_rng(35)
+    layer = ConvLayer(kernels=rng.uniform(-1, 1, (4, 2, 2)), bias=rng.normal(size=4), seed=0)
+    for shape in ((4, 6), (5, 4, 6)):
+        image = rng.random(shape) * 2 - 0.5
+        upstream = rng.normal(size=conv_forward(image, layer).shape)
+        warm = ConvExtractor(layer)
+        fmap = warm.forward(image)
+        assert np.array_equal(warm.forward(image), fmap)
+        fmap[...] = 7.0
+        grad = warm.input_gradient(image, upstream)
+        assert np.array_equal(warm.forward(image), ConvExtractor(layer).forward(image))
+        assert np.array_equal(grad, ConvExtractor(layer).input_gradient(image, upstream))
+        image *= -1.0  # flips the sign of every pre-activation but the bias
+        assert np.array_equal(warm.input_gradient(image, upstream), ConvExtractor(layer).input_gradient(image, upstream))
 
 
 def test_conv_fingerprint_tracks_seed():

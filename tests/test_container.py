@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,3 +155,20 @@ def test_checkpoint_weights_must_be_ten_by_d_f8(tmp_path, shape, dtype):
 def test_missing_file_is_not_a_value_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_corrupt_npy_version_is_rejected_before_any_large_read(tmp_path):
+    """Major version 3 makes numpy read a 4-byte header length out of the header's own text."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "cnn", 0, "f" * 64, DenseHead(np.zeros((10, 784)), np.zeros(10)))
+    raw = bytearray(path.read_bytes())
+    raw[6] = 3
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

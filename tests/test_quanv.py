@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanvrob import qsim, quanv
+from quanvrob import qsim
 from quanvrob.ansatz import Ansatz, AnsatzKind, angles_of, build_ansatz, with_angles
 from quanvrob.classical import ConvExtractor, build_conv_layer
 from quanvrob.qsim import rot, zz
@@ -383,11 +383,12 @@ def test_writing_into_a_feature_map_leaves_the_next_forward_alone():
     assert np.array_equal(extractor.forward(image), expected)
 
 
-def test_model_gradient_cuts_patches_once(monkeypatch):
-    calls = []
-    patch_stack = quanv._patch_stack
-    monkeypatch.setattr(quanv, "_patch_stack", lambda image: calls.append(1) or patch_stack(image))
+def test_model_gradient_encodes_once(monkeypatch):
+    """Each encoding takes the sine of every angle once; a model gradient encodes its pixels once."""
     model = make_qunn_model(seed=2)
+    calls = []
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda *args, **kwargs: calls.append(1) or sin(*args, **kwargs))
     model.loss_and_input_gradient(random_image(np.random.default_rng(33), (3, 8, 8)), np.array([0, 4, 9]))
     assert len(calls) == 1
 
