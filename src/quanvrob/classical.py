@@ -92,10 +92,11 @@ def conv_input_gradient(
 class ConvExtractor:
     """Frozen random convolution presented with the shared extractor surface.
 
-    Like ``QuanvExtractor`` it keeps the pre-activation of the last image it
-    saw, keyed by the float64 image's shape and bytes, so the input gradient
-    after a forward pass on the same pixels reads its ReLU mask instead of
-    convolving again.
+    It keeps the pre-activation of the last image it saw, keyed by the
+    float64 image's shape and bytes, so the input gradient after a forward
+    pass on the same pixels reads its ReLU mask instead of convolving again.
+    The memo is its own, not shared like the quanv encoding memo: the
+    pre-activation depends on the layer, not on the pixels alone.
     """
 
     kind = "cnn"
@@ -213,9 +214,13 @@ def loss_and_grads(head: DenseHead, probs: np.ndarray, label, features: np.ndarr
         d_weights, d_bias = dlogits[:, None] * flat, dlogits
     else:
         d_weights, d_bias = dlogits.T @ flat, dlogits.sum(axis=0)
+    return loss, d_weights, d_bias, feature_gradient(head, dlogits)
+
+
+def feature_gradient(head: DenseHead, dlogits: np.ndarray) -> np.ndarray:
+    """The loss gradient w.r.t. the flat features, (D,) or (N, D), from its gradient w.r.t. the logits."""
     # one matrix-vector product per sample, as in dense_forward
-    d_features = (head.weights.T @ dlogits[..., None])[..., 0]
-    return loss, d_weights, d_bias, d_features
+    return (head.weights.T @ dlogits[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

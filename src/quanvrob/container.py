@@ -11,11 +11,14 @@ each array's dtype and number of dimensions.  Each array holds one row per
 item along its first axis (per image, or per class of a head), so all the
 arrays of a file share that length.  ``save`` and ``load`` check the same
 rules, so a file ``save`` writes is one ``load`` reads, and ``load`` rejects
-anything else with a ``ValueError`` that names the path.  Arrays are read
-with ``allow_pickle=False``, and only from records in ``.npy`` format 1.0,
-the one ``save`` writes: its header length is a 2-byte field, where later
-formats have a 4-byte one, so a corrupt version byte cannot make numpy ask
-for a read buffer of gigabytes.
+anything else with a ``ValueError`` that names the path.  ``load`` accepts
+only records in ``.npy`` format 1.0, the one ``save`` writes: its header
+length is a 2-byte field, where later formats have a 4-byte one, so a
+corrupt version byte cannot make numpy ask for a read buffer of gigabytes.
+It parses each record's header once with numpy's own reader, rejects
+object dtypes and negative dimensions, and compares the bytes the declared
+shape needs with the bytes left in the file before it reads the data with
+``np.fromfile``, so a corrupt shape fails before anything is allocated.
 
 Version rule.  ``VERSION`` goes up whenever the layout or a kind's fields or
 arrays change.  A reader accepts its own version only; there is no reader
@@ -32,6 +35,8 @@ had no checksum either, so plain records drop nothing.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -72,27 +77,37 @@ def save(path, kind: str, header: dict, **arrays) -> None:
             np.save(fh, array)
 
 
-def _read_record(fh) -> np.ndarray:
-    start = fh.tell()
+def _read_record(fh, size: int) -> np.ndarray:
+    """The array of the ``.npy`` record at ``fh``'s position, in a file of ``size`` bytes."""
     version = np.lib.format.read_magic(fh)
     if version != (1, 0):
         raise ValueError(f"a record is in .npy format {version[0]}.{version[1]}, expected 1.0")
-    fh.seek(start)
-    return np.load(fh, allow_pickle=False)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if dtype.hasobject:
+        raise ValueError(f"a record holds the object dtype {dtype}")
+    if min(shape, default=0) < 0:
+        raise ValueError(f"a record declares the negative shape {shape}")
+    count = math.prod(shape)
+    left = size - fh.tell()
+    if count * dtype.itemsize > left:
+        raise ValueError(f"a record declares a {shape} {dtype.str} array, but only {left} bytes are left")
+    data = np.fromfile(fh, dtype=dtype, count=count)
+    return data.reshape(shape[::-1]).T if fortran_order else data.reshape(shape)
 
 
 def load(path, kind: str):
     """The header and the arrays of a ``kind`` file, as two dicts."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         # every error from parsing the bytes becomes a ValueError: numpy's
         # header parser lets exceptions such as tokenize.TokenError through,
         # so no fixed list of types covers a corrupt file
         try:
-            header = json.loads(_read_record(fh).tobytes())
+            header = json.loads(_read_record(fh, size).tobytes())
             for key, value in {"kind": kind, "version": VERSION, "arrays": list(KINDS[kind][1])}.items():
                 if header.get(key) != value:
                     raise ValueError(f"its {key} is {header.get(key)!r}, expected {value!r}")
-            arrays = {name: _read_record(fh) for name in header["arrays"]}
+            arrays = {name: _read_record(fh, size) for name in header["arrays"]}
             if fh.read(1):
                 raise ValueError("trailing bytes after the last array")
             _check(kind, header, arrays)

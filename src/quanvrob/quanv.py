@@ -74,17 +74,31 @@ same patch in a larger image.  The sine is taken as sin(pi * min(p, 1 - p)):
 structure comes out as exactly 0, as at pixel 0.
 
 Encoding memo.  A model gradient calls ``forward`` and then
-``input_gradient`` on the same pixels.  The extractor keeps the encoding of
-the last stack it saw, keyed by the float64 image's shape and bytes: the
-image and feature-map shapes and F, M * P * 8 bytes per image (12.5 KB for
-a 28x28 image at M = 8, 125 KB at M = 80) besides the key's copy of the
-pixels (6.1 KB).  A call on equal bytes skips the range check, which those
-pixels passed, sin/cos and the gathers, and returns the same bits as a
-cold call; a stored F is never written.  A key of identity would reuse the
+``input_gradient`` on the same pixels, and an experiment grid scores the
+same stacks on every filter: a transfer matrix puts each source's clean
+stack and its adversarials through all five layouts.  F depends only on the
+pixels and on the strings in ``terms``, and every layout compiles to the
+same 8 strings, so one memo in this module serves every extractor.  It
+holds the encodings of the ``MEMO_SLOTS`` = 2 stacks used last (a hit moves
+its entry to the front), each keyed by the extractor's term list, the
+float64 image's shape and its bytes.  Two is the fewest that keep a
+source's clean stack encoded while its adversarials go through every
+target: one slot, shared, thrashes between them.  On the benchmark's
+``transfer`` workload a third slot saves no encoding and a fourth 2.6%, for
+twice the memory.  An entry is the image and feature-map shapes and F,
+M * P * 8 bytes per image (12.5 KB for a 28x28 image at M = 8, 125 KB at
+M = 80), besides the key's copy of the pixels (6.1 KB): at most two stacks
+of 18.6 KB per image at M = 8 in total, where each extractor used to hold
+one stack of its own.  A call on an equal key skips the range check, which only
+pixels that passed it enter, sin/cos and the gathers, and returns the same
+bits as a cold call; a stored F is never written.  The memo is a tuple that
+a call reads once and replaces by a new tuple, never mutates, so a
+concurrent caller can only miss.  A key of identity would reuse the
 encoding of pixels changed in place, and an element-wise compare against a
 stored copy cost more than the bytes.  There is no fused
 forward-and-gradient method: the memo keeps the two-call surface that
-``models.Model`` and wrappers of an extractor rely on.
+``models.Model`` and wrappers of an extractor rely on.  :func:`clear_memo`
+empties it.
 """
 
 from __future__ import annotations
@@ -98,6 +112,10 @@ from .qsim import StateVector, run_program
 
 N_QUBITS = 4
 SNAP = 64 * np.finfo(float).eps  # table entries at most this large are rounding residue
+MEMO_SLOTS = 2  # stacks whose encodings the shared memo holds, see "Encoding memo"
+
+# ((key, encoding), ...), most recently used first; replaced whole, never mutated
+_memo: tuple = ()
 
 # I, X and Z: the Pauli matrices whose expectation on Ry(theta)|0> is
 # 1, sin(theta) and cos(theta), in the table's axis order
@@ -138,6 +156,12 @@ def _pauli_table(unitary: np.ndarray) -> np.ndarray:
     return table
 
 
+def clear_memo() -> None:
+    """Forget every stored encoding, so that the next call on any pixels encodes them."""
+    global _memo
+    _memo = ()
+
+
 class QuanvExtractor:
     """Frozen quanvolutional feature extractor for one filter circuit."""
 
@@ -169,7 +193,7 @@ class QuanvExtractor:
         width = max(map(len, factors), default=1)
         self._factors = [np.array([f[j] for f in factors if len(f) > j], dtype=np.intp) for j in range(width)]
         self._deriv = derivs[(slice(None),) + tuple(self.terms.T)].transpose(0, 2, 1).reshape(N_QUBITS**2, -1)
-        self._last = None  # (key, encoding) of the last image encoded, see _encode
+        self._terms_key = self.terms.tobytes()  # F depends on the extractor only through its strings
 
     @property
     def fingerprint(self) -> str:
@@ -186,14 +210,19 @@ class QuanvExtractor:
         """The image's shape, its feature map's shape and the monomials F of its patches.
 
         F[n, m, p] = prod_q r_{s_q}(theta_q), with r = (1, sin, cos), of every
-        kept string m over the patches p of image n: (N, M, P).  The last
-        encoding is reused for equal pixels (see "Encoding memo" above).
+        kept string m over the patches p of image n: (N, M, P).  Encodings
+        are shared with every extractor of the same strings through the
+        module's memo (see "Encoding memo" above).
         """
+        global _memo
         image = np.asarray(image, dtype=float)
-        key = (image.shape, image.tobytes())
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
+        key = (self._terms_key, image.shape, image.tobytes())
+        memo = _memo
+        for i, entry in enumerate(memo):
+            if entry[0] == key:
+                if i:
+                    _memo = (entry,) + memo[:i] + memo[i + 1 :]
+                return entry[1]
         pixels = planes(image)
         # min(p, 1 - p) is negative outside [0, 1] and NaN for NaN, so it also checks the range
         folded = np.minimum(image, 1.0 - image)
@@ -209,7 +238,7 @@ class QuanvExtractor:
         for rows in self._factors[1:]:
             f[:, : len(rows)] *= np.take(r, rows, axis=1)
         encoding = image.shape, image.shape[:-2] + (hp, wp, N_QUBITS), f
-        self._last = key, encoding
+        _memo = ((key, encoding),) + memo[: MEMO_SLOTS - 1]
         return encoding
 
     def forward(self, image: np.ndarray) -> np.ndarray:

@@ -172,3 +172,57 @@ def test_corrupt_npy_version_is_rejected_before_any_large_read(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_corrupt_shape_is_rejected_before_any_large_read(tmp_path):
+    """A ~1 KB checkpoint whose weights record declares 10 x 10_000_000 doubles (800 MB)."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "cnn", 0, "f" * 64, DenseHead(np.zeros((10, 10)), np.zeros(10)))
+    with open(path, "rb") as fh:
+        header = np.load(fh)
+    with open(path, "wb") as fh:
+        np.save(fh, header)
+        np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (10, 10_000_000)})
+        fh.write(np.zeros((10, 10)).tobytes())
+        np.save(fh, np.zeros(10))
+    assert path.stat().st_size < 2048
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("descr, shape", [("<f8", (-1,)), ("|O", (10,))])
+def test_negative_shapes_and_objects_are_rejected(tmp_path, descr, shape):
+    """A bias record that declares shape (-1,) or object items over the 80 bytes of ten doubles."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "cnn", 0, "f" * 64, DenseHead(np.zeros((10, 3)), np.zeros(10)))
+    with open(path, "rb") as fh:
+        header, weights = np.load(fh), np.load(fh)
+    with open(path, "wb") as fh:
+        np.save(fh, header)
+        np.save(fh, weights)
+        np.lib.format.write_array_header_1_0(fh, {"descr": descr, "fortran_order": False, "shape": shape})
+        fh.write(np.zeros(10).tobytes())
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_fortran_ordered_records_round_trip(tmp_path):
+    header = {
+        "kind": "checkpoint",
+        "version": 1,
+        "arrays": ["weights", "bias"],
+        "model_kind": "cnn",
+        "extractor_seed": 0,
+        "extractor_fingerprint": "f" * 64,
+    }
+    weights = np.asfortranarray(np.random.default_rng(6).normal(size=(10, 7)))
+    path = tmp_path / "model.ckpt"
+    write_records(path, header, weights, np.arange(10.0))
+    loaded = load_checkpoint(path)[3]
+    assert np.array_equal(loaded.weights, weights) and np.array_equal(loaded.bias, np.arange(10.0))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from quanvrob import classical, models
 from quanvrob.ansatz import AnsatzKind, build_ansatz
-from quanvrob.classical import ConvExtractor, build_conv_layer, build_dense_head
+from quanvrob.classical import ConvExtractor, build_conv_layer, build_dense_head, dense_forward, loss_and_grads
 from quanvrob.models import Model, accuracy
 from quanvrob.quanv import QuanvExtractor
 
@@ -50,6 +51,25 @@ def test_input_gradient_matches_finite_difference(family):
         numeric = numeric_input_gradient(model, image, label, pixels)
         for (i, j), value in numeric.items():
             assert grad[i, j] == pytest.approx(value, abs=1e-5)
+
+
+def test_model_gradient_forms_no_head_weight_gradient(monkeypatch):
+    """The pixels need only the features' gradient, so a model gradient never calls loss_and_grads."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loss_and_grads called for a model gradient")
+
+    rng = np.random.default_rng(5)
+    for model in (make_qunn_model(seed=5), make_cnn_model(seed=5)):
+        for image, label in ((rng.random((8, 8)), 3), (rng.random((4, 8, 8)), np.array([0, 3, 9, 3]))):
+            fmap = model.extractor.forward(image)
+            loss, _, _, d_features = loss_and_grads(model.head, dense_forward(fmap, model.head), label, fmap)
+            grad = model.extractor.input_gradient(image, d_features.reshape(fmap.shape))
+            with monkeypatch.context() as patch:
+                for module in (models, classical):
+                    patch.setattr(module, "loss_and_grads", refuse)
+                got = model.loss_and_input_gradient(image, label)
+            assert np.array_equal(got[0], loss) and np.array_equal(got[1], grad)
 
 
 def test_probabilities_are_normalized():

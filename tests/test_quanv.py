@@ -7,7 +7,8 @@ from quanvrob import qsim
 from quanvrob.ansatz import Ansatz, AnsatzKind, angles_of, build_ansatz, with_angles
 from quanvrob.classical import ConvExtractor, build_conv_layer
 from quanvrob.qsim import rot, zz
-from quanvrob.quanv import QuanvExtractor, read_feature_cache, write_feature_cache
+from quanvrob.attacks import make_spec, transfer_attack
+from quanvrob.quanv import QuanvExtractor, clear_memo, read_feature_cache, write_feature_cache
 
 from test_models import make_qunn_model
 from test_qsim import oracle_unitary  # independent Kronecker-matrix oracle
@@ -323,13 +324,29 @@ def test_gradient_rejects_bad_upstream_shape():
 
 
 # ---------------------------------------------------------------------------
-# The encoding memo: forward and input_gradient on the same pixels encode them once
+# The encoding memo: every stack is encoded once for all extractors of one term list
 # ---------------------------------------------------------------------------
 
 
 def memo_ansatzes():
     yield from (build_ansatz(kind, 4, seed=seed) for kind in AnsatzKind for seed in range(3))
     yield entangled_ansatz(np.random.default_rng(5).uniform(0, 2 * np.pi, 30))
+
+
+def cold(ansatz, method, *args):
+    """``method`` of a new extractor on an empty memo, so that it encodes the pixels itself."""
+    extractor = QuanvExtractor(ansatz)
+    clear_memo()
+    return getattr(extractor, method)(*args)
+
+
+@pytest.fixture
+def sines(monkeypatch):
+    """A list that gains one entry per call of np.sin: each encoding takes the sine of its angles once."""
+    calls = []
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda *args, **kwargs: calls.append(1) or sin(*args, **kwargs))
+    return calls
 
 
 def test_warm_calls_are_bitwise_cold_calls():
@@ -342,8 +359,8 @@ def test_warm_calls_are_bitwise_cold_calls():
             fmap = warm.forward(image)
             assert np.array_equal(warm.forward(image), fmap)
             grad = warm.input_gradient(image, upstream)
-            assert np.array_equal(fmap, QuanvExtractor(ansatz).forward(image))
-            assert np.array_equal(grad, QuanvExtractor(ansatz).input_gradient(image, upstream))
+            assert np.array_equal(fmap, cold(ansatz, "forward", image))
+            assert np.array_equal(grad, cold(ansatz, "input_gradient", image, upstream))
             if len(shape) == 2:
                 assert np.max(np.abs(fmap - oracle_feature_map(image, ansatz))) <= 1e-12
                 assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
@@ -359,8 +376,74 @@ def test_pixels_changed_in_place_are_encoded_again():
     image[2, 3] = 1.0 - image[2, 3]
     fmap, grad = extractor.forward(image), extractor.input_gradient(image, upstream)
     assert not np.array_equal(fmap, stale[0]) and not np.array_equal(grad, stale[1])
-    assert np.array_equal(fmap, QuanvExtractor(ansatz).forward(image.copy()))
-    assert np.array_equal(grad, QuanvExtractor(ansatz).input_gradient(image.copy(), upstream))
+    assert np.array_equal(fmap, cold(ansatz, "forward", image.copy()))
+    assert np.array_equal(grad, cold(ansatz, "input_gradient", image.copy(), upstream))
+
+
+def test_layouts_with_one_term_list_share_an_encoding(sines):
+    first, second = (build_ansatz(kind, 4, seed=seed) for kind, seed in ((AnsatzKind.RANDOM, 0), (AnsatzKind.ZZ_FULL, 1)))
+    extractors = QuanvExtractor(first), QuanvExtractor(second)
+    assert np.array_equal(extractors[0].terms, extractors[1].terms)
+    sines.clear()  # the compiler takes sines too
+    rng = np.random.default_rng(34)
+    image, upstream = random_image(rng, (3, 6, 6)), rng.normal(size=(3, 3, 3, 4))
+    extractors[0].forward(image)
+    fmap, grad = extractors[1].forward(image), extractors[1].input_gradient(image, upstream)
+    assert len(sines) == 1
+    assert np.array_equal(fmap, cold(second, "forward", image))
+    assert np.array_equal(grad, cold(second, "input_gradient", image, upstream))
+
+
+def test_another_term_list_encodes_again(sines):
+    ansatz = entangled_ansatz(np.random.default_rng(35).uniform(0, 2 * np.pi, 30))
+    layout, dense = QuanvExtractor(build_ansatz(AnsatzKind.RANDOM, 4, seed=0)), QuanvExtractor(ansatz)
+    sines.clear()
+    rng = np.random.default_rng(36)
+    image, upstream = random_image(rng, (6, 6)), rng.normal(size=(3, 3, 4))
+    layout.forward(image)
+    fmap, grad = dense.forward(image), dense.input_gradient(image, upstream)
+    assert len(sines) == 2
+    assert np.max(np.abs(fmap - oracle_feature_map(image, ansatz))) <= 1e-12
+    assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
+
+
+def test_the_memo_holds_the_two_stacks_used_last(sines):
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed=0))
+    sines.clear()
+    a, b, c = random_image(np.random.default_rng(37), (3, 4, 4))
+    for image in (a, b, a, c):
+        extractor.forward(image)
+    assert len(sines) == 3  # the second a is held
+    extractor.forward(a)
+    assert len(sines) == 3  # a was used after b, so c displaced b
+    extractor.forward(b)
+    extractor.forward(c)
+    extractor.forward(a)
+    assert len(sines) == 6  # after three distinct stacks the first is encoded again
+
+
+def test_a_transfer_row_encodes_the_clean_and_the_adversarial_stack_once(sines):
+    """A quanv source against the five layouts: one encoding each of the clean and the crafted stack.
+
+    With one memo per extractor the same row encoded 7 stacks: the source's
+    clean stack again after it scored its own adversarials, and the
+    adversarials once per target.
+    """
+    targets = [make_qunn_model(kind, seed=0) for kind in AnsatzKind]
+    rng = np.random.default_rng(38)
+    images, labels = random_image(rng, (3, 8, 8)), rng.integers(0, 10, size=3)
+    sines.clear()
+    for target in targets:
+        transfer_attack(targets[0], target, images, labels, make_spec("fgsm", 0.1))
+    assert len(sines) == 2
+
+
+def test_model_gradient_encodes_once(sines):
+    """Each encoding takes the sine of every angle once; a model gradient encodes its pixels once."""
+    model = make_qunn_model(seed=2)
+    sines.clear()
+    model.loss_and_input_gradient(random_image(np.random.default_rng(33), (3, 8, 8)), np.array([0, 4, 9]))
+    assert len(sines) == 1
 
 
 def test_warm_extractor_still_rejects_non_finite_pixels():
@@ -381,16 +464,6 @@ def test_writing_into_a_feature_map_leaves_the_next_forward_alone():
     expected = fmap.copy()
     fmap[...] = 7.0
     assert np.array_equal(extractor.forward(image), expected)
-
-
-def test_model_gradient_encodes_once(monkeypatch):
-    """Each encoding takes the sine of every angle once; a model gradient encodes its pixels once."""
-    model = make_qunn_model(seed=2)
-    calls = []
-    sin = np.sin
-    monkeypatch.setattr(np, "sin", lambda *args, **kwargs: calls.append(1) or sin(*args, **kwargs))
-    model.loss_and_input_gradient(random_image(np.random.default_rng(33), (3, 8, 8)), np.array([0, 4, 9]))
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
