@@ -1,15 +1,18 @@
 """Gradient-sign attacks and robustness/transfer evaluation.
 
-Three white-box attacks against any model exposing ``input_gradient``:
+FGSM, PGD and MIM are one white-box attack against any model exposing
+``input_gradient``.  From x = x0 it takes ``steps`` steps of
 
-  fgsm  x' = clip(x + eps * sign(grad))
-  pgd   k steps of x <- clip_eps(x + alpha * sign(grad at x)), no random start
+  x <- clip(x0 + clip(x + alpha * sign(d) - x0, -eps, eps), 0, 1)
+
+with sign(0) = 0, so every adversarial stays in the L-infinity ball of
+radius eps around x0 and inside [0, 1].  The kinds differ only in these:
+
+  fgsm  1 step, alpha = eps, d = grad at x: clip(x0 + eps * sign(grad), 0, 1)
+  pgd   ``iterations`` steps of ``step_size``, d = grad at x, no random start
         (Madry et al., arXiv:1706.06083)
-  mim   like pgd but the step direction is the sign of an accumulated
-        gradient g <- mu * g + grad / ||grad||_1
-
-Every adversarial image stays within the L-infinity ball of radius eps
-around the original and inside [0, 1].  sign(0) is 0.
+  mim   as pgd with d <- mu * d + grad / ||grad||_1, a decayed sum of
+        L1-normalised gradients (Dong et al., arXiv:1710.06081)
 
 An attack takes one (H, W) image with an int label, or an (N, H, W) stack
 with (N,) labels, and steps the whole stack at once: one model gradient per
@@ -28,6 +31,9 @@ import numpy as np
 
 from . import container
 from .models import accuracy, as_stack
+
+STEP_RATIO = 0.25  # make_spec's step size as a fraction of epsilon
+MOMENTUM = 1.0  # make_spec's mim decay factor
 
 
 class AttackKind:
@@ -60,68 +66,33 @@ class AttackSpec:
             raise ValueError("mim needs a non-negative momentum factor")
 
 
-def make_spec(
-    kind: str,
-    epsilon: float,
-    iterations: int = 10,
-    step_ratio: float = 0.25,
-    momentum: float = 1.0,
-) -> AttackSpec:
-    """Spec with the default iterative hyperparameters (alpha = eps * ratio)."""
+def make_spec(kind: str, epsilon: float, iterations: int = 10) -> AttackSpec:
+    """Spec with the default iterative hyperparameters (alpha = eps * STEP_RATIO, mu = MOMENTUM)."""
     if kind == AttackKind.FGSM:
         return AttackSpec(kind, epsilon)
     if kind == AttackKind.PGD:
-        return AttackSpec(kind, epsilon, step_size=epsilon * step_ratio, iterations=iterations)
-    return AttackSpec(
-        kind, epsilon, step_size=epsilon * step_ratio, iterations=iterations, momentum=momentum
-    )
+        return AttackSpec(kind, epsilon, step_size=epsilon * STEP_RATIO, iterations=iterations)
+    return AttackSpec(kind, epsilon, step_size=epsilon * STEP_RATIO, iterations=iterations, momentum=MOMENTUM)
 
 
 def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(origin + np.clip(x - origin, -epsilon, epsilon), 0.0, 1.0)
 
 
-def fgsm(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
-    if spec.kind != AttackKind.FGSM:
-        raise ValueError(f"expected an fgsm spec, got {spec.kind}")
-    image = np.asarray(image, dtype=float)
-    if spec.epsilon == 0:
-        return image.copy()
-    grad = model.input_gradient(image, label)
-    return np.clip(image + spec.epsilon * np.sign(grad), 0.0, 1.0)
-
-
-def pgd(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
-    if spec.kind != AttackKind.PGD:
-        raise ValueError(f"expected a pgd spec, got {spec.kind}")
-    image = np.asarray(image, dtype=float)
-    x = image.copy()
-    for _ in range(spec.iterations):
-        grad = model.input_gradient(x, label)
-        x = _project(x + spec.step_size * np.sign(grad), image, spec.epsilon)
-    return x
-
-
-def mim(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
-    if spec.kind != AttackKind.MIM:
-        raise ValueError(f"expected a mim spec, got {spec.kind}")
-    image = np.asarray(image, dtype=float)
-    x = image.copy()
-    g = np.zeros_like(image)
-    for _ in range(spec.iterations):
-        grad = model.input_gradient(x, label)
-        l1 = np.sum(np.abs(grad), axis=(-2, -1), keepdims=True)
-        # a vanished gradient contributes nothing this step
-        g = spec.momentum * g + np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
-        x = _project(x + spec.step_size * np.sign(g), image, spec.epsilon)
-    return x
-
-
-_GENERATORS = {AttackKind.FGSM: fgsm, AttackKind.PGD: pgd, AttackKind.MIM: mim}
-
-
 def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
-    return _GENERATORS[spec.kind](model, image, label, spec)
+    """The adversarial of an image or a stack under ``spec``: one model gradient per step."""
+    image = np.asarray(image, dtype=float)
+    steps, alpha = (1, spec.epsilon) if spec.kind == AttackKind.FGSM else (spec.iterations, spec.step_size)
+    x, g = image, 0.0
+    for _ in range(steps):
+        direction = model.input_gradient(x, label)
+        if spec.kind == AttackKind.MIM:
+            l1 = np.sum(np.abs(direction), axis=(-2, -1), keepdims=True)
+            # a vanished gradient contributes nothing this step
+            normalized = np.divide(direction, l1, out=np.zeros_like(direction), where=l1 > 0)
+            direction = g = spec.momentum * g + normalized
+        x = _project(x + alpha * np.sign(direction), image, spec.epsilon)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +106,6 @@ class RobustnessCurve:
     model_fingerprint: str
     attack_kind: str
     points: tuple[tuple[float, float], ...]  # (epsilon, accuracy)
-
-    def __post_init__(self) -> None:
-        epsilons = [e for e, _ in self.points]
-        if not epsilons or epsilons[0] != 0.0:
-            raise ValueError("a robustness curve must start at epsilon = 0")
-        if any(b <= a for a, b in zip(epsilons, epsilons[1:])):
-            raise ValueError("curve epsilons must be strictly increasing")
-        if any(not 0.0 <= acc <= 1.0 for _, acc in self.points):
-            raise ValueError("accuracies must lie in [0, 1]")
 
 
 def _check_grid(specs) -> None:
@@ -164,7 +126,7 @@ def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
     kind = specs[0].kind
     if kind == AttackKind.FGSM:
         # the gradient is evaluated at the clean input only, so it is shared
-        # by every epsilon in the grid
+        # by every epsilon in the grid; this clip is bitwise generate's one step
         signs = np.sign(model.input_gradient(images, labels))
         adversarials = (
             images if s.epsilon == 0 else np.clip(images + s.epsilon * signs, 0.0, 1.0) for s in specs

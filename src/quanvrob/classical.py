@@ -28,6 +28,8 @@ from .patches import planes
 N_FILTERS = 4
 KERNEL = 2
 N_CLASSES = 10
+HEAD_INIT_SCALE = 0.05  # head weights are drawn from uniform [-scale, scale]
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,9 @@ class DenseHead:
     bias: np.ndarray  # (classes,)
 
 
-def build_dense_head(seed: int, in_dim: int = 784, scale: float = 0.05) -> DenseHead:
+def build_dense_head(seed: int, in_dim: int = 784) -> DenseHead:
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-scale, scale, size=(N_CLASSES, in_dim))
+    weights = rng.uniform(-HEAD_INIT_SCALE, HEAD_INIT_SCALE, size=(N_CLASSES, in_dim))
     return DenseHead(weights=weights, bias=np.zeros(N_CLASSES))
 
 
@@ -235,9 +237,6 @@ class AdamState:
     v_weights: np.ndarray
     m_bias: np.ndarray
     v_bias: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam_state(head: DenseHead) -> AdamState:
@@ -256,14 +255,14 @@ def adam_step(head: DenseHead, state: AdamState, grads, lr: float):
     if d_weights.shape != head.weights.shape or d_bias.shape != head.bias.shape:
         raise ValueError("gradient shapes do not match the head")
     t = state.step + 1
-    m_w = state.beta1 * state.m_weights + (1 - state.beta1) * d_weights
-    v_w = state.beta2 * state.v_weights + (1 - state.beta2) * d_weights**2
-    m_b = state.beta1 * state.m_bias + (1 - state.beta1) * d_bias
-    v_b = state.beta2 * state.v_bias + (1 - state.beta2) * d_bias**2
-    bc1 = 1 - state.beta1**t
-    bc2 = 1 - state.beta2**t
-    new_weights = head.weights - lr * (m_w / bc1) / (np.sqrt(v_w / bc2) + state.eps)
-    new_bias = head.bias - lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + state.eps)
+    m_w = ADAM_BETA1 * state.m_weights + (1 - ADAM_BETA1) * d_weights
+    v_w = ADAM_BETA2 * state.v_weights + (1 - ADAM_BETA2) * d_weights**2
+    m_b = ADAM_BETA1 * state.m_bias + (1 - ADAM_BETA1) * d_bias
+    v_b = ADAM_BETA2 * state.v_bias + (1 - ADAM_BETA2) * d_bias**2
+    bc1 = 1 - ADAM_BETA1**t
+    bc2 = 1 - ADAM_BETA2**t
+    new_weights = head.weights - lr * (m_w / bc1) / (np.sqrt(v_w / bc2) + ADAM_EPS)
+    new_bias = head.bias - lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + ADAM_EPS)
     new_head = DenseHead(weights=new_weights, bias=new_bias)
     new_state = replace(
         state, step=t, m_weights=m_w, v_weights=v_w, m_bias=m_b, v_bias=v_b

@@ -74,13 +74,6 @@ class Gate:
         if any(t < 0 for t in self.targets):
             raise ValueError(f"gate targets must be non-negative, got {self.targets}")
 
-    def with_angle(self, angle_index: int, value: float) -> "Gate":
-        if not 0 <= angle_index < len(self.angles):
-            raise ValueError(f"angle index {angle_index} out of range for {self.kind.value}")
-        angles = list(self.angles)
-        angles[angle_index] = value
-        return Gate(self.kind, self.targets, tuple(angles))
-
 
 def rx(target: int, theta: float) -> Gate:
     return Gate(GateKind.RX, (target,), (theta,))
@@ -108,9 +101,6 @@ class StateVector:
 
     n_qubits: int
     amps: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

@@ -8,13 +8,12 @@ from quanvrob.attacks import (
     AdversarialBatch,
     AttackKind,
     AttackSpec,
+    _project,
     evaluate_robustness,
-    fgsm,
+    generate,
     load_batch,
     make_batch,
     make_spec,
-    mim,
-    pgd,
     save_batch,
     transfer_attack,
 )
@@ -61,6 +60,9 @@ class QuadraticToyModel:
         return self.a + 2.0 * self.b * image
 
 
+EPS_GRID = [round(0.025 * k, 3) for k in range(13)]  # 0 .. 0.3
+
+
 # ---------------------------------------------------------------------------
 # fgsm
 # ---------------------------------------------------------------------------
@@ -69,7 +71,7 @@ class QuadraticToyModel:
 def test_fgsm_zero_epsilon_is_identity():
     model = LinearToyModel([[1.0, -2.0]])
     image = np.array([[0.3, 0.6]])
-    adv = fgsm(model, image, 0, AttackSpec(AttackKind.FGSM, 0.0))
+    adv = generate(model, image, 0, AttackSpec(AttackKind.FGSM, 0.0))
     assert np.array_equal(adv, image)
 
 
@@ -78,7 +80,7 @@ def test_fgsm_respects_linf_budget():
     model = make_cnn_model(seed=0)
     for eps in (0.05, 0.1, 0.3):
         image = rng.random((8, 8))
-        adv = fgsm(model, image, 3, AttackSpec(AttackKind.FGSM, eps))
+        adv = generate(model, image, 3, AttackSpec(AttackKind.FGSM, eps))
         assert np.max(np.abs(adv - image)) <= eps + 1e-12
         assert np.min(adv) >= 0.0 and np.max(adv) <= 1.0
 
@@ -88,7 +90,7 @@ def test_fgsm_two_pixel_hand_computation():
     # clipped into [0, 1]
     model = LinearToyModel([[2.0, -3.0]])
     image = np.array([[0.5, 0.05]])
-    adv = fgsm(model, image, 0, AttackSpec(AttackKind.FGSM, 0.1))
+    adv = generate(model, image, 0, AttackSpec(AttackKind.FGSM, 0.1))
     assert np.allclose(adv, [[0.6, 0.0]])
     assert adv[0, 1] == 0.0  # clipped at the lower bound
 
@@ -96,7 +98,7 @@ def test_fgsm_two_pixel_hand_computation():
 def test_fgsm_sign_of_zero_gradient_is_zero():
     model = LinearToyModel([[0.0, 1.0]])
     image = np.array([[0.4, 0.4]])
-    adv = fgsm(model, image, 0, AttackSpec(AttackKind.FGSM, 0.2))
+    adv = generate(model, image, 0, AttackSpec(AttackKind.FGSM, 0.2))
     assert adv[0, 0] == 0.4
     assert adv[0, 1] == pytest.approx(0.6)
 
@@ -118,7 +120,7 @@ def test_fgsm_leaves_dead_pixels_exactly_unmoved(fill):
         dead = np.tile(dead, (4, 4))
         assert np.all(model.extractor.input_gradient(image, upstream)[dead] == 0.0)
         assert np.all(model.input_gradient(image, 3)[dead] == 0.0)
-        adversarial = fgsm(model, image, 3, AttackSpec(AttackKind.FGSM, 0.1))
+        adversarial = generate(model, image, 3, AttackSpec(AttackKind.FGSM, 0.1))
         assert np.all(adversarial[dead] == fill)
 
 
@@ -128,20 +130,45 @@ def test_fgsm_leaves_dead_pixels_exactly_unmoved(fill):
 
 
 def test_pgd_single_full_step_equals_fgsm():
+    """One step of size eps is FGSM, and FGSM is clip(x + eps * sign(grad), 0, 1), bitwise.
+
+    The FGSM curve in ``evaluate_robustness`` relies on the second identity to
+    share one clean gradient across its grid.
+    """
     rng = np.random.default_rng(1)
-    model = make_qunn_model(seed=1)
-    for _ in range(5):
-        image = rng.random((8, 8))
-        eps = 0.15
-        via_pgd = pgd(model, image, 2, AttackSpec(AttackKind.PGD, eps, step_size=eps, iterations=1))
-        via_fgsm = fgsm(model, image, 2, AttackSpec(AttackKind.FGSM, eps))
-        assert np.array_equal(via_pgd, via_fgsm)
+    images = rng.random((5, 8, 8))
+    images[:, ::3] = np.round(images[:, ::3])  # exact 0/1 pixels beside grey ones
+    labels = rng.integers(0, 10, size=5)
+    for model in [make_qunn_model(kind, seed=1) for kind in AnsatzKind] + [make_cnn_model(seed=1)]:
+        signs = np.sign(model.input_gradient(images, labels))
+        for eps in EPS_GRID:
+            via_fgsm = generate(model, images, labels, AttackSpec(AttackKind.FGSM, eps))
+            assert via_fgsm.tobytes() == np.clip(images + eps * signs, 0.0, 1.0).tobytes()
+            via_pgd = generate(model, images, labels, AttackSpec(AttackKind.PGD, eps, step_size=eps, iterations=1))
+            assert via_pgd.tobytes() == via_fgsm.tobytes()
+
+
+def test_projected_full_step_is_a_clip():
+    """_project(x + eps * s, x, eps) == clip(x + eps * s, 0, 1) for any pixel x in [0, 1] and sign s."""
+    rng = np.random.default_rng(14)
+    pixels = np.concatenate(
+        [
+            rng.random(50_000),
+            rng.random(25_000) * 1e-3,  # near 0
+            1.0 - rng.random(25_000) * 1e-3,  # near 1
+            rng.integers(0, 256, 25_000) / 255,  # an 8-bit grid, exact 0 and 1 included
+        ]
+    )
+    signs = rng.choice([-1.0, 0.0, 1.0], size=pixels.shape)
+    for eps in EPS_GRID + list(np.linspace(0.001, 0.299, 16)):
+        stepped = pixels + eps * signs
+        assert _project(stepped, pixels, eps).tobytes() == np.clip(stepped, 0.0, 1.0).tobytes()
 
 
 def test_pgd_zero_epsilon_is_identity():
     model = LinearToyModel([[1.0, 1.0]])
     image = np.array([[0.2, 0.9]])
-    adv = pgd(model, image, 0, AttackSpec(AttackKind.PGD, 0.0, step_size=0.0, iterations=7))
+    adv = generate(model, image, 0, AttackSpec(AttackKind.PGD, 0.0, step_size=0.0, iterations=7))
     assert np.array_equal(adv, image)
 
 
@@ -153,7 +180,7 @@ def test_pgd_monotone_loss_on_linear_model():
     losses = [model.loss(x, 0)]
     for _ in range(spec.iterations):
         step = AttackSpec(AttackKind.PGD, spec.epsilon, step_size=spec.step_size, iterations=1)
-        x = pgd(model, x, 0, step)
+        x = generate(model, x, 0, step)
         x = np.clip(image + np.clip(x - image, -spec.epsilon, spec.epsilon), 0, 1)
         losses.append(model.loss(x, 0))
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
@@ -164,7 +191,7 @@ def test_pgd_respects_budget():
     model = make_cnn_model(seed=2)
     image = rng.random((8, 8))
     spec = make_spec(AttackKind.PGD, 0.1)
-    adv = pgd(model, image, 5, spec)
+    adv = generate(model, image, 5, spec)
     assert np.max(np.abs(adv - image)) <= 0.1 + 1e-12
     assert np.min(adv) >= 0.0 and np.max(adv) <= 1.0
 
@@ -180,11 +207,11 @@ def test_mim_without_momentum_equals_pgd():
     for _ in range(5):
         image = rng.random((8, 8))
         eps, alpha, iters = 0.12, 0.03, 6
-        via_mim = mim(
+        via_mim = generate(
             model, image, 1,
             AttackSpec(AttackKind.MIM, eps, step_size=alpha, iterations=iters, momentum=0.0),
         )
-        via_pgd = pgd(
+        via_pgd = generate(
             model, image, 1, AttackSpec(AttackKind.PGD, eps, step_size=alpha, iterations=iters)
         )
         assert np.array_equal(via_mim, via_pgd)
@@ -193,7 +220,7 @@ def test_mim_without_momentum_equals_pgd():
 def test_mim_zero_epsilon_is_identity():
     model = LinearToyModel([[1.0, 1.0]])
     image = np.array([[0.2, 0.9]])
-    adv = mim(
+    adv = generate(
         model, image, 0,
         AttackSpec(AttackKind.MIM, 0.0, step_size=0.0, iterations=3, momentum=1.0),
     )
@@ -216,7 +243,7 @@ def test_mim_two_step_hand_trace():
     g2 = mu * g1 + grad2 / np.sum(np.abs(grad2))
     x2 = np.clip(x0 + np.clip(x1 + alpha * np.sign(g2) - x0, -eps, eps), 0, 1)
 
-    adv = mim(
+    adv = generate(
         model, x0, 0,
         AttackSpec(AttackKind.MIM, eps, step_size=alpha, iterations=2, momentum=mu),
     )
@@ -226,7 +253,7 @@ def test_mim_two_step_hand_trace():
 def test_mim_skips_normalization_for_zero_gradient():
     model = LinearToyModel([[0.0, 0.0]])
     image = np.array([[0.5, 0.5]])
-    adv = mim(
+    adv = generate(
         model, image, 0,
         AttackSpec(AttackKind.MIM, 0.2, step_size=0.05, iterations=4, momentum=1.0),
     )
@@ -249,17 +276,6 @@ def test_spec_validation():
         AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=0, momentum=1.0)
     with pytest.raises(ValueError):
         AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=3)
-
-
-def test_wrong_spec_kind_rejected():
-    model = LinearToyModel([[1.0]])
-    image = np.array([[0.5]])
-    with pytest.raises(ValueError):
-        fgsm(model, image, 0, make_spec(AttackKind.PGD, 0.1))
-    with pytest.raises(ValueError):
-        pgd(model, image, 0, make_spec(AttackKind.FGSM, 0.1))
-    with pytest.raises(ValueError):
-        mim(model, image, 0, make_spec(AttackKind.PGD, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +307,7 @@ def test_fgsm_fast_path_matches_per_image_generation():
     for eps, acc in curve.points:
         spec = make_spec(AttackKind.FGSM, eps)
         hits = sum(
-            model.predict_label(fgsm(model, img, int(lbl), spec)) == int(lbl)
+            model.predict_label(generate(model, img, int(lbl), spec)) == int(lbl)
             for img, lbl in zip(images, labels)
         )
         assert acc == hits / 5

@@ -15,7 +15,6 @@ from quanvrob.attacks import (
     generate,
     make_batch,
     make_spec,
-    mim,
     transfer_attack,
 )
 from quanvrob.classical import build_dense_head, dense_forward, loss_and_grads
@@ -146,12 +145,12 @@ def test_mim_normalizes_each_image_and_skips_a_vanished_gradient():
     model = AffineToyModel(a=[[[3000.0, 0.0]], [[9.0, 0.0]]], b=[[[-4000.0, 0.0]], [[-16.0, 0.0]]])
     images = np.full((2, 1, 2), 0.5)
     spec = AttackSpec(AttackKind.MIM, 0.5, step_size=0.25, iterations=2, momentum=1.0)
-    adversarials = mim(model, images, np.array([0, 1]), spec)
+    adversarials = generate(model, images, np.array([0, 1]), spec)
     # image 0 keeps its momentum through the vanished gradient; image 1's two
     # normalized steps, +1 and -1, cancel.  A norm over the whole stack would
     # have made image 1's first step 1/1001 and moved it back to 0.5.
     assert np.array_equal(adversarials, [[[1.0, 0.5]], [[0.75, 0.5]]])
-    assert np.array_equal(adversarials, one_by_one(lambda x, y: mim(model, x, y, spec), images, [0, 1]))
+    assert np.array_equal(adversarials, one_by_one(lambda x, y: generate(model, x, y, spec), images, [0, 1]))
 
 
 def reference_curve(model, images, labels, specs):
@@ -241,10 +240,12 @@ def test_labels_not_matching_the_stack_are_rejected():
         accuracy(model, images, bad)
     with pytest.raises(ValueError, match=re.escape("(8, 8)")):
         accuracy(model, images[0], labels[:1].repeat(8))  # one (H, W) image with (H,) labels
-    spec = make_spec(AttackKind.FGSM, 0.0)  # takes no gradient, so the attack helpers must check
+    spec = make_spec(AttackKind.FGSM, 0.0)
+    # its gradient fails on these labels with another message, so the attack helpers must check them first
+    source = AffineToyModel(a=np.zeros((10, 1, 1)), b=np.zeros((10, 1, 1)))
     with pytest.raises(ValueError, match=message):
-        transfer_attack(model, model, images, bad, spec)
+        transfer_attack(source, model, images, bad, spec)
     with pytest.raises(ValueError, match=message):
-        make_batch(model, images, bad, spec)
+        make_batch(source, images, bad, spec)
     with pytest.raises(ValueError, match=message):
         evaluate_robustness(model, images, bad, [spec])

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -13,3 +14,29 @@ def test_every_script_entry_point_resolves_to_a_callable():
     for name, target in scripts.items():
         module, _, attribute = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attribute)), name
+
+
+def test_every_library_definition_is_used_somewhere():
+    """Each function, class and method under src/quanvrob is named somewhere other than its own definition.
+
+    A use is a name, an attribute or an import in src/, tests/ or perfbench/.
+    """
+    definitions, uses = [], {}
+    for path in sorted(path for d in ("src", "tests", "perfbench") for path in (PYPROJECT.parent / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if "quanvrob" in path.parts and not node.name.startswith("__"):
+                    definitions.append((node.name, path, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.alias):
+                uses.setdefault(node.name.rpartition(".")[2], []).append((path, node.lineno))
+    unused = [
+        f"{path.name}:{first} {name}"
+        for name, path, first, last in definitions
+        if not any(p != path or not first <= line <= last for p, line in uses.get(name, ()))
+    ]
+    assert not unused, unused
