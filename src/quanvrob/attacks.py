@@ -76,7 +76,12 @@ def make_spec(kind: str, epsilon: float, iterations: int = 10) -> AttackSpec:
 
 
 def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
-    return np.clip(origin + np.clip(x - origin, -epsilon, epsilon), 0.0, 1.0)
+    """clip(origin + clip(x - origin, -eps, eps), 0, 1), in one new buffer."""
+    # np.clip, not np.maximum/np.minimum: clip keeps a -0.0 where maximum(-0.0, 0.0) gives +0.0
+    out = np.subtract(x, origin)
+    np.clip(out, -epsilon, epsilon, out=out)
+    out += origin
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
@@ -128,9 +133,13 @@ def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
         # the gradient is evaluated at the clean input only, so it is shared
         # by every epsilon in the grid; this clip is bitwise generate's one step
         signs = np.sign(model.input_gradient(images, labels))
-        adversarials = (
-            images if s.epsilon == 0 else np.clip(images + s.epsilon * signs, 0.0, 1.0) for s in specs
-        )
+
+        def shifted(epsilon):
+            adversarial = epsilon * signs
+            adversarial += images
+            return np.clip(adversarial, 0.0, 1.0, out=adversarial)
+
+        adversarials = (images if s.epsilon == 0 else shifted(s.epsilon) for s in specs)
     else:
         adversarials = (generate(model, images, labels, spec) for spec in specs)
     return RobustnessCurve(

@@ -15,10 +15,11 @@ anything else with a ``ValueError`` that names the path.  ``load`` accepts
 only records in ``.npy`` format 1.0, the one ``save`` writes: its header
 length is a 2-byte field, where later formats have a 4-byte one, so a
 corrupt version byte cannot make numpy ask for a read buffer of gigabytes.
-It parses each record's header once with numpy's own reader, rejects
-object dtypes and negative dimensions, and compares the bytes the declared
-shape needs with the bytes left in the file before it reads the data with
-``np.fromfile``, so a corrupt shape fails before anything is allocated.
+It parses each record's header once with numpy's own reader, turns any
+warning from that parse into an error, rejects object dtypes and negative
+dimensions, and compares the bytes the declared shape needs with the bytes
+left in the file before it reads the data with ``np.fromfile``, so a
+corrupt shape fails before anything is allocated.
 
 Version rule.  ``VERSION`` goes up whenever the layout or a kind's fields or
 arrays change.  A reader accepts its own version only; there is no reader
@@ -37,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -82,7 +84,13 @@ def _read_record(fh, size: int) -> np.ndarray:
     version = np.lib.format.read_magic(fh)
     if version != (1, 0):
         raise ValueError(f"a record is in .npy format {version[0]}.{version[1]}, expected 1.0")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    # numpy parses the header with ast.literal_eval, which only warns on some
+    # corrupt text, such as an invalid escape sequence; those become errors too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if caught:
+        raise ValueError(f"a record header does not parse cleanly: {caught[0].message}")
     if dtype.hasobject:
         raise ValueError(f"a record holds the object dtype {dtype}")
     if min(shape, default=0) < 0:

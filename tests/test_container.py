@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ def test_a_flipped_byte_raises_value_error_or_loads(tmp_path, kind, file, data):
         read()
     except ValueError:
         pass
+
+
+def test_a_header_that_parses_with_a_warning_is_rejected_without_the_warning(tmp_path):
+    """A flipped byte can turn "'descr'" into "'\\oscr'", an invalid escape on which Python only warns."""
+    path = tmp_path / "cache"
+    write_feature_cache(path, "f" * 64, np.arange(2), np.zeros((2, 1, 1, 4)))
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"'descr'", b"'\\oscr'", 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_feature_cache(path)
+    assert not caught
 
 
 @fuzz

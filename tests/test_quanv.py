@@ -165,6 +165,48 @@ def test_encode_half_pixel():
     assert np.allclose(fmap[0, 0, 1:], 1.0, atol=1e-12)
 
 
+def encoded_sin_cos(pixels):
+    """sin(pi p) and cos(pi p) of each pixel as the encoding computes them.
+
+    A no_ent filter compiles to the 8 weight-one strings X_q and Z_q, so each
+    row of its monomials F is the sine or the cosine of one qubit's angle.
+    Each pixel goes in as qubit 0 of its own one-patch image.
+    """
+    extractor = QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed=0))
+    assert np.array_equal(np.count_nonzero(extractor.terms, axis=1), np.ones(8))
+    images = np.zeros((len(pixels), 2, 2))
+    images[:, 0, 0] = pixels
+    clear_memo()
+    _, _, f = extractor._encode(images)
+    rows = [np.flatnonzero((extractor.terms == [s, 0, 0, 0]).all(axis=1))[0] for s in (1, 2)]  # X_0, Z_0
+    return f[:, rows[0], 0], f[:, rows[1], 0]
+
+
+def test_encoding_matches_mpmath_sinpi_and_cospi():
+    """Within 4.5e-16 of sin(pi p) and cos(pi p) on pixel grids an attack visits."""
+    from mpmath import libmp
+
+    grey = np.arange(256) / 255
+    steps = 0.025 * np.concatenate([np.arange(-40, 0), np.arange(1, 41)])
+    pixels = np.unique(np.concatenate([np.linspace(0, 1, 100001), grey, np.clip(grey[:, None] + steps, 0, 1).ravel()]))
+    sin, cos = encoded_sin_cos(pixels)
+    assert np.max(np.abs(sin)) <= 1.0 and np.max(np.abs(cos)) <= 1.0
+    prec = 120
+    worst = 0.0
+    for p, s, c in zip(pixels.tolist(), sin.tolist(), cos.tolist()):
+        exact_cos, exact_sin = libmp.mpf_cos_sin_pi(libmp.from_float(p), prec)
+        for exact, got in ((exact_sin, s), (exact_cos, c)):
+            worst = max(worst, abs(libmp.to_float(libmp.mpf_sub(exact, libmp.from_float(got), prec))))
+    assert worst <= 4.5e-16
+
+
+def test_encoding_is_exact_at_pixels_zero_and_one():
+    """Pixel 0 encodes to (sin, cos) = (0, 1) and pixel 1 to (0, -1), exactly."""
+    sin, cos = encoded_sin_cos(np.array([0.0, 1.0]))
+    assert sin.tolist() == [0.0, 0.0]
+    assert cos.tolist() == [1.0, -1.0]
+
+
 def test_encode_rejects_out_of_range():
     extractor = identity_extractor()
     for value in (1.5, -0.1):
@@ -341,11 +383,16 @@ def cold(ansatz, method, *args):
 
 
 @pytest.fixture
-def sines(monkeypatch):
-    """A list that gains one entry per call of np.sin: each encoding takes the sine of its angles once."""
+def tangents(monkeypatch):
+    """The names of the calls of np.tan, np.sin and np.cos, in order.
+
+    Each encoding takes the tangent of its half-angles once and no sine or
+    cosine, so n encodings leave ``["tan"] * n``.
+    """
     calls = []
-    sin = np.sin
-    monkeypatch.setattr(np, "sin", lambda *args, **kwargs: calls.append(1) or sin(*args, **kwargs))
+    for name in ("tan", "sin", "cos"):
+        ufunc = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, _n=name, _f=ufunc, **kwargs: calls.append(_n) or _f(*args, **kwargs))
     return calls
 
 
@@ -380,49 +427,49 @@ def test_pixels_changed_in_place_are_encoded_again():
     assert np.array_equal(grad, cold(ansatz, "input_gradient", image.copy(), upstream))
 
 
-def test_layouts_with_one_term_list_share_an_encoding(sines):
+def test_layouts_with_one_term_list_share_an_encoding(tangents):
     first, second = (build_ansatz(kind, 4, seed=seed) for kind, seed in ((AnsatzKind.RANDOM, 0), (AnsatzKind.ZZ_FULL, 1)))
     extractors = QuanvExtractor(first), QuanvExtractor(second)
     assert np.array_equal(extractors[0].terms, extractors[1].terms)
-    sines.clear()  # the compiler takes sines too
+    tangents.clear()  # the compiler takes sines and cosines
     rng = np.random.default_rng(34)
     image, upstream = random_image(rng, (3, 6, 6)), rng.normal(size=(3, 3, 3, 4))
     extractors[0].forward(image)
     fmap, grad = extractors[1].forward(image), extractors[1].input_gradient(image, upstream)
-    assert len(sines) == 1
+    assert tangents == ["tan"]
     assert np.array_equal(fmap, cold(second, "forward", image))
     assert np.array_equal(grad, cold(second, "input_gradient", image, upstream))
 
 
-def test_another_term_list_encodes_again(sines):
+def test_another_term_list_encodes_again(tangents):
     ansatz = entangled_ansatz(np.random.default_rng(35).uniform(0, 2 * np.pi, 30))
     layout, dense = QuanvExtractor(build_ansatz(AnsatzKind.RANDOM, 4, seed=0)), QuanvExtractor(ansatz)
-    sines.clear()
+    tangents.clear()
     rng = np.random.default_rng(36)
     image, upstream = random_image(rng, (6, 6)), rng.normal(size=(3, 3, 4))
     layout.forward(image)
     fmap, grad = dense.forward(image), dense.input_gradient(image, upstream)
-    assert len(sines) == 2
+    assert tangents == ["tan"] * 2
     assert np.max(np.abs(fmap - oracle_feature_map(image, ansatz))) <= 1e-12
     assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
 
 
-def test_the_memo_holds_the_two_stacks_used_last(sines):
+def test_the_memo_holds_the_two_stacks_used_last(tangents):
     extractor = QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed=0))
-    sines.clear()
+    tangents.clear()
     a, b, c = random_image(np.random.default_rng(37), (3, 4, 4))
     for image in (a, b, a, c):
         extractor.forward(image)
-    assert len(sines) == 3  # the second a is held
+    assert tangents == ["tan"] * 3  # the second a is held
     extractor.forward(a)
-    assert len(sines) == 3  # a was used after b, so c displaced b
+    assert tangents == ["tan"] * 3  # a was used after b, so c displaced b
     extractor.forward(b)
     extractor.forward(c)
     extractor.forward(a)
-    assert len(sines) == 6  # after three distinct stacks the first is encoded again
+    assert tangents == ["tan"] * 6  # after three distinct stacks the first is encoded again
 
 
-def test_a_transfer_row_encodes_the_clean_and_the_adversarial_stack_once(sines):
+def test_a_transfer_row_encodes_the_clean_and_the_adversarial_stack_once(tangents):
     """A quanv source against the five layouts: one encoding each of the clean and the crafted stack.
 
     With one memo per extractor the same row encoded 7 stacks: the source's
@@ -432,18 +479,18 @@ def test_a_transfer_row_encodes_the_clean_and_the_adversarial_stack_once(sines):
     targets = [make_qunn_model(kind, seed=0) for kind in AnsatzKind]
     rng = np.random.default_rng(38)
     images, labels = random_image(rng, (3, 8, 8)), rng.integers(0, 10, size=3)
-    sines.clear()
+    tangents.clear()
     for target in targets:
         transfer_attack(targets[0], target, images, labels, make_spec("fgsm", 0.1))
-    assert len(sines) == 2
+    assert tangents == ["tan"] * 2
 
 
-def test_model_gradient_encodes_once(sines):
-    """Each encoding takes the sine of every angle once; a model gradient encodes its pixels once."""
+def test_model_gradient_encodes_once(tangents):
+    """Each encoding takes one tangent per pixel and no sine or cosine; a model gradient encodes its pixels once."""
     model = make_qunn_model(seed=2)
-    sines.clear()
+    tangents.clear()
     model.loss_and_input_gradient(random_image(np.random.default_rng(33), (3, 8, 8)), np.array([0, 4, 9]))
-    assert len(sines) == 1
+    assert tangents == ["tan"]
 
 
 def test_warm_extractor_still_rejects_non_finite_pixels():
