@@ -14,6 +14,10 @@ radius eps around x0 and inside [0, 1].  The kinds differ only in these:
   mim   as pgd with d <- mu * d + grad / ||grad||_1, a decayed sum of
         L1-normalised gradients (Dong et al., arXiv:1710.06081)
 
+Every pixel of the starting image or stack must be finite and in [0, 1];
+``generate`` and ``evaluate_robustness`` raise a ValueError before any
+gradient otherwise, whatever the model's extractor accepts.
+
 An attack takes one (H, W) image with an int label, or an (N, H, W) stack
 with (N,) labels, and steps the whole stack at once: one model gradient per
 step for all images.  Each image's step depends only on its own gradient;
@@ -84,9 +88,17 @@ def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+def _check_pixels(images: np.ndarray) -> None:
+    """A ValueError unless every pixel of a starting image or stack is finite and in [0, 1]."""
+    # NaN fails both comparisons, and an infinity fails one
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise ValueError("attacked pixels must be finite and lie in [0, 1]")
+
+
 def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
     """The adversarial of an image or a stack under ``spec``: one model gradient per step."""
     image = np.asarray(image, dtype=float)
+    _check_pixels(image)
     steps, alpha = (1, spec.epsilon) if spec.kind == AttackKind.FGSM else (spec.iterations, spec.step_size)
     x, g = image, 0.0
     for _ in range(steps):
@@ -130,6 +142,7 @@ def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
     _check_grid(specs)
     kind = specs[0].kind
     if kind == AttackKind.FGSM:
+        _check_pixels(images)
         # the gradient is evaluated at the clean input only, so it is shared
         # by every epsilon in the grid; this clip is bitwise generate's one step
         signs = np.sign(model.input_gradient(images, labels))

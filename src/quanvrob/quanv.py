@@ -96,7 +96,11 @@ same patch in a larger image.
 Encoding memo.  A model gradient calls ``forward`` and then
 ``input_gradient`` on the same pixels, and an experiment grid scores the
 same stacks on every filter: a transfer matrix puts each source's clean
-stack and its adversarials through all five layouts.  F depends only on the
+stack and its adversarials through all five layouts.  A model gradient
+repeated on the same stack does not reach the extractor at all, since
+``models.Model`` answers it from its own gradient memo; so this memo serves
+the two calls of one model gradient and the predictions of one stack on
+every filter.  F depends only on the
 pixels and on the strings in ``terms``, and every layout compiles to the
 same 8 strings, so one memo in this module serves every extractor.  It
 holds the encodings of the ``MEMO_SLOTS`` = 2 stacks used last (a hit moves

@@ -352,6 +352,47 @@ def test_transfer_zero_epsilon_is_clean_accuracy():
     assert transfer_attack(source, target, images, labels, make_spec(AttackKind.FGSM, 0.0)) == clean
 
 
+class RefusingModel:
+    """A model that fails the test if an attack reaches it."""
+
+    kind = "refusing"
+    fingerprint = "refusing"
+
+    def input_gradient(self, image, label):
+        raise AssertionError("the attack called the model")
+
+    predict_label = loss = input_gradient
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", AttackKind.ALL)
+def test_attacks_reject_starting_pixels_outside_the_unit_range_before_any_gradient(kind, bad):
+    model = RefusingModel()
+    images = np.random.default_rng(12).random((3, 8, 8))
+    images[1, 4, 5] = bad
+    labels = np.array([1, 2, 3])
+    message = "finite and lie in \\[0, 1\\]"
+    with pytest.raises(ValueError, match=message):
+        generate(model, images, labels, make_spec(kind, 0.1))
+    with pytest.raises(ValueError, match=message):
+        generate(model, images[1], 2, make_spec(kind, 0.0))
+    with pytest.raises(ValueError, match=message):
+        evaluate_robustness(model, images, labels, grid(kind))
+    with pytest.raises(ValueError, match=message):
+        transfer_attack(model, model, images, labels, make_spec(kind, 0.1))
+    with pytest.raises(ValueError, match=message):
+        make_batch(model, images, labels, make_spec(kind, 0.1))
+
+
+def test_a_cnn_attack_rejects_a_pixel_its_extractor_accepts():
+    model = make_cnn_model(seed=13)
+    image = np.random.default_rng(13).random((8, 8))
+    image[0, 0] = 1.5
+    model.input_gradient(image, 3)  # the convolution takes any finite pixel
+    with pytest.raises(ValueError):
+        generate(model, image, 3, make_spec(AttackKind.FGSM, 0.1))
+
+
 # ---------------------------------------------------------------------------
 # adversarial batches
 # ---------------------------------------------------------------------------

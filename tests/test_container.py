@@ -166,6 +166,28 @@ def test_checkpoint_weights_must_be_ten_by_d_f8(tmp_path, shape, dtype):
     assert load_checkpoint(path)[3].weights.shape == (10, 3)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_saving_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, kind):
+    path, fresh = tmp_path / "file", tmp_path / "fresh"
+    small_file(kind, path, 1, 3, 3, 3)
+    written, read = small_file(kind, fresh, 2, 1, 2, 2)
+    assert path.stat().st_size > fresh.stat().st_size
+    small_file(kind, path, 2, 1, 2, 2)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert same(read(), written)
+
+
+def test_saving_over_a_symlink_replaces_it_and_leaves_its_target(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    small_file("checkpoint", target, 1, 2, 2, 2)
+    before = target.read_bytes()
+    link.symlink_to(target)
+    written, _ = small_file("checkpoint", link, 2, 1, 2, 2)
+    assert not link.is_symlink()
+    assert target.read_bytes() == before
+    assert same(load_checkpoint(link)[:2], written[:2])
+
+
 def test_missing_file_is_not_a_value_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "absent.ckpt")
