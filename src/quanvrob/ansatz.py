@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qsim import Gate, GateKind, rot, rx, ry, rz, zz
+from .qsim import Gate, rot, rx, ry, rz, zz
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,9 +41,6 @@ class Ansatz:
     n_qubits: int
     gates: tuple[Gate, ...]
     seed: int
-
-    def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind is GateKind.ZZ)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(to_text(self).encode()).hexdigest()

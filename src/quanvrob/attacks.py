@@ -16,7 +16,9 @@ radius eps around x0 and inside [0, 1].  The kinds differ only in these:
 
 Every pixel of the starting image or stack must be finite and in [0, 1];
 ``generate`` and ``evaluate_robustness`` raise a ValueError before any
-gradient otherwise, whatever the model's extractor accepts.
+gradient otherwise, whatever the model's extractor accepts.  An
+``AdversarialBatch`` holds both its stacks to the same rule, so
+``load_batch`` rejects a file with a NaN pixel.
 
 An attack takes one (H, W) image with an int label, or an (N, H, W) stack
 with (N,) labels, and steps the whole stack at once: one model gradient per
@@ -59,14 +61,15 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in AttackKind.ALL:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
+        # written so that NaN fails; an infinity passes
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         if self.kind in (AttackKind.PGD, AttackKind.MIM):
-            if self.step_size is None or self.step_size < 0:
+            if self.step_size is None or not self.step_size >= 0:
                 raise ValueError(f"{self.kind} needs a non-negative step size")
             if self.iterations is None or self.iterations < 1:
                 raise ValueError(f"{self.kind} needs at least one iteration")
-        if self.kind == AttackKind.MIM and (self.momentum is None or self.momentum < 0):
+        if self.kind == AttackKind.MIM and (self.momentum is None or not self.momentum >= 0):
             raise ValueError("mim needs a non-negative momentum factor")
 
 
@@ -88,11 +91,11 @@ def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _check_pixels(images: np.ndarray) -> None:
-    """A ValueError unless every pixel of a starting image or stack is finite and in [0, 1]."""
+def _check_pixels(images: np.ndarray, what: str = "attacked") -> None:
+    """A ValueError unless every pixel of an image or stack is finite and in [0, 1]."""
     # NaN fails both comparisons, and an infinity fails one
     if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
-        raise ValueError("attacked pixels must be finite and lie in [0, 1]")
+        raise ValueError(f"{what} pixels must be finite and lie in [0, 1]")
 
 
 def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
@@ -184,15 +187,13 @@ class AdversarialBatch:
     def __post_init__(self) -> None:
         if self.originals.shape != self.adversarials.shape:
             raise ValueError("original and adversarial stacks must share a shape")
+        _check_pixels(self.originals, "original")
+        _check_pixels(self.adversarials, "adversarial")
         overshoot = np.max(np.abs(self.adversarials - self.originals), initial=0.0)
-        if overshoot > self.spec.epsilon + 1e-12:
+        if not overshoot <= self.spec.epsilon + 1e-12:  # written so that NaN fails
             raise ValueError(
                 f"adversarial examples exceed the epsilon ball: {overshoot} > {self.spec.epsilon}"
             )
-        if self.adversarials.size and (
-            np.min(self.adversarials) < 0.0 or np.max(self.adversarials) > 1.0
-        ):
-            raise ValueError("adversarial pixels must lie in [0, 1]")
 
 
 def make_batch(model, images, labels, spec: AttackSpec) -> AdversarialBatch:

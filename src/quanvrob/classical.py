@@ -6,10 +6,10 @@ produces the same 14x14x4 feature geometry as the quanvolutional path.  It
 reads each image through its pixel planes (:func:`quanvrob.patches.planes`):
 per image, the (filters, 4) kernel matrix times the (4, P) planes, with the
 bias added straight into the channel-last feature map.  Its input gradient
-is the transposed product, written back through the planes of the image.
-``ConvExtractor`` keeps the pre-activation of the last stack it saw, keyed
-by its bytes like the quanv encoding memo, so a model gradient convolves
-once and reads its ReLU mask from the forward pass.
+is the transposed product, masked where the pre-activation is not positive
+and written back through the planes of the image.  The extractor keeps no
+memo: its input gradient convolves the pixels again, a small share of a
+model gradient, and ``models.Model`` answers a repeated gradient itself.
 
 Both extractors feed the same trainable piece: a dense layer with softmax
 over 10 classes, optimized with Adam on the cross-entropy loss.
@@ -92,21 +92,13 @@ def conv_input_gradient(
 
 
 class ConvExtractor:
-    """Frozen random convolution presented with the shared extractor surface.
-
-    It keeps the pre-activation of the last image it saw, keyed by the
-    float64 image's shape and bytes, so the input gradient after a forward
-    pass on the same pixels reads its ReLU mask instead of convolving again.
-    The memo is its own, not shared like the quanv encoding memo: the
-    pre-activation depends on the layer, not on the pixels alone.
-    """
+    """Frozen random convolution presented with the shared extractor surface."""
 
     kind = "cnn"
 
     def __init__(self, layer: ConvLayer):
         self.layer = layer
         self.seed = layer.seed
-        self._last = None  # (key, pre-activation) of the last image
 
     @property
     def fingerprint(self) -> str:
@@ -118,21 +110,11 @@ class ConvExtractor:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _preactivation(self, image: np.ndarray) -> np.ndarray:
-        image = np.asarray(image, dtype=float)
-        key = (image.shape, image.tobytes())
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        pre = conv_preactivation(image, self.layer)
-        self._last = key, pre
-        return pre
-
     def forward(self, image: np.ndarray) -> np.ndarray:
-        return np.maximum(self._preactivation(image), 0.0)
+        return conv_forward(image, self.layer)
 
     def input_gradient(self, image: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        return conv_input_gradient(self.layer, upstream, self._preactivation(image))
+        return conv_input_gradient(self.layer, upstream, conv_preactivation(image, self.layer))
 
 
 # ---------------------------------------------------------------------------

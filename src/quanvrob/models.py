@@ -19,9 +19,10 @@ bytes of the head's weights and bias, and the entry must also hold the
 model's current extractor and head (``is``).  So pixels, labels or head
 weights changed in place, or a head or extractor replaced, are computed
 again; the extractor is frozen, so its own arrays are not in the key.  Keys
-are bytes, not identity, as in the quanv encoding memo.  The head's bytes
-cost a copy of its weights per call; read-only head arrays would not, but a
-view taken before would still write into them.  An entry holds about two
+are bytes, not identity, as in the quanv encoding memo, which holds only
+the last stack encoded and leaves repeated gradients to this memo.  The
+head's bytes cost a copy of its weights per call; read-only head arrays
+would not, but a view taken before would still write into them.  An entry holds about two
 stacks of pixels (the key and the gradient) and one head.  Only integer
 labels are stored, and only after every check passed, so a call that
 raises never enters the memo.  The memo holds copies and hands out fresh
@@ -54,9 +55,10 @@ class FeatureExtractor(Protocol):
 
     ``Model.loss_and_input_gradient`` calls ``forward`` and then
     ``input_gradient`` on the same pixels.  An extractor may reuse work
-    between the two calls, but must return the same bits as without it.
-    A model may answer a repeated gradient call from its memo without
-    calling the extractor at all (see "Gradient memo").
+    between the two calls, as the quanv extractor reuses its encoding of
+    the last stack, but must return the same bits as without it; the cnn
+    reuses nothing.  A model may answer a repeated gradient call from its
+    memo without calling the extractor at all (see "Gradient memo").
     """
 
     kind: str

@@ -102,9 +102,6 @@ class StateVector:
     n_qubits: int
     amps: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def init_zero(n_qubits: int) -> StateVector:
     """All-zeros computational basis state |0...0>."""

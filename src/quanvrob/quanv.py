@@ -95,34 +95,27 @@ same patch in a larger image.
 
 Encoding memo.  A model gradient calls ``forward`` and then
 ``input_gradient`` on the same pixels, and an experiment grid scores the
-same stacks on every filter: a transfer matrix puts each source's clean
-stack and its adversarials through all five layouts.  A model gradient
-repeated on the same stack does not reach the extractor at all, since
-``models.Model`` answers it from its own gradient memo; so this memo serves
-the two calls of one model gradient and the predictions of one stack on
-every filter.  F depends only on the
-pixels and on the strings in ``terms``, and every layout compiles to the
-same 8 strings, so one memo in this module serves every extractor.  It
-holds the encodings of the ``MEMO_SLOTS`` = 2 stacks used last (a hit moves
-its entry to the front), each keyed by the extractor's term list, the
-float64 image's shape and its bytes.  Two is the fewest that keep a
-source's clean stack encoded while its adversarials go through every
-target: one slot, shared, thrashes between them.  On the benchmark's
-``transfer`` workload a third slot saves no encoding and a fourth 2.6%, for
-twice the memory.  An entry is the image and feature-map shapes and F,
+same stacks on every filter: a transfer matrix puts each source's
+adversarials through all five layouts.  F depends only on the pixels and on
+the strings in ``terms``, and every layout compiles to the same 8 strings,
+so one memo in this module serves every extractor.  It holds the encoding of
+the last stack encoded, keyed by the extractor's term list, the float64
+image's shape and its bytes.  One entry is enough because the repeats come
+back to back: a model gradient repeated on the same stack does not reach the
+extractor at all, since ``models.Model`` answers it from its own gradient
+memo, and a second entry for the stack before last saves no encoding on the
+benchmark's workloads.  The entry is the image and feature-map shapes and F,
 M * P * 8 bytes per image (12.5 KB for a 28x28 image at M = 8, 125 KB at
-M = 80), besides the key's copy of the pixels (6.1 KB): at most two stacks
-of 18.6 KB per image at M = 8 in total, where each extractor used to hold
-one stack of its own.  A call on an equal key skips the range check, which only
-pixels that passed it enter, the tangents and the gathers, and returns the same
-bits as a cold call; a stored F is never written.  The memo is a tuple that
-a call reads once and replaces by a new tuple, never mutates, so a
-concurrent caller can only miss.  A key of identity would reuse the
-encoding of pixels changed in place, and an element-wise compare against a
-stored copy cost more than the bytes.  There is no fused
-forward-and-gradient method: the memo keeps the two-call surface that
-``models.Model`` and wrappers of an extractor rely on.  :func:`clear_memo`
-empties it.
+M = 80), besides the key's copy of the pixels (6.1 KB).  A call on an equal key
+skips the range check, which only pixels that passed it enter, the tangents
+and the gathers, and returns the same bits as a cold call; a stored F is
+never written.  The memo is one (key, encoding) tuple that a call reads once
+and replaces whole, never mutates, so a concurrent caller can only miss.  A
+key of identity would reuse the encoding of pixels changed in place, and an
+element-wise compare against a stored copy cost more than the bytes.  There
+is no fused forward-and-gradient method: the memo keeps the two-call surface
+that ``models.Model`` and wrappers of an extractor rely on.
+:func:`clear_memo` empties it.
 """
 
 from __future__ import annotations
@@ -136,10 +129,9 @@ from .qsim import StateVector, run_program
 
 N_QUBITS = 4
 SNAP = 64 * np.finfo(float).eps  # table entries at most this large are rounding residue
-MEMO_SLOTS = 2  # stacks whose encodings the shared memo holds, see "Encoding memo"
 
-# ((key, encoding), ...), most recently used first; replaced whole, never mutated
-_memo: tuple = ()
+# (key, encoding) of the last stack encoded, see "Encoding memo"; replaced whole, never mutated
+_memo: tuple | None = None
 
 # I, X and Z: the Pauli matrices whose expectation on Ry(theta)|0> is
 # 1, sin(theta) and cos(theta), in the table's axis order
@@ -181,9 +173,9 @@ def _pauli_table(unitary: np.ndarray) -> np.ndarray:
 
 
 def clear_memo() -> None:
-    """Forget every stored encoding, so that the next call on any pixels encodes them."""
+    """Forget the stored encoding, so that the next call on any pixels encodes them."""
     global _memo
-    _memo = ()
+    _memo = None
 
 
 class QuanvExtractor:
@@ -242,11 +234,8 @@ class QuanvExtractor:
         image = np.asarray(image, dtype=float)
         key = (self._terms_key, image.shape, image.tobytes())
         memo = _memo
-        for i, entry in enumerate(memo):
-            if entry[0] == key:
-                if i:
-                    _memo = (entry,) + memo[:i] + memo[i + 1 :]
-                return entry[1]
+        if memo is not None and memo[0] == key:
+            return memo[1]
         n, _, _, hp, wp = planes(image).shape
         # (N, 4, P) in patch order: a copy, except a view for images two pixels wide, so only read
         pixels = planes(image).reshape(n, N_QUBITS, hp * wp)
@@ -271,7 +260,7 @@ class QuanvExtractor:
         for rows in self._factors[1:]:
             f[:, : len(rows)] *= np.take(r, rows, axis=1)
         encoding = image.shape, image.shape[:-2] + (hp, wp, N_QUBITS), f
-        _memo = ((key, encoding),) + memo[: MEMO_SLOTS - 1]
+        _memo = key, encoding
         return encoding
 
     def forward(self, image: np.ndarray) -> np.ndarray:

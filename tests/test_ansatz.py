@@ -27,7 +27,7 @@ EXPECTED_ZZ_COUNTS = {
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_two_qubit_gate_counts(kind):
     ansatz = build_ansatz(kind, 4, seed=123)
-    assert ansatz.two_qubit_count() == EXPECTED_ZZ_COUNTS[kind]
+    assert sum(g.kind is GateKind.ZZ for g in ansatz.gates) == EXPECTED_ZZ_COUNTS[kind]
 
 
 def test_zz_full_structure():

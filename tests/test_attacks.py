@@ -1,4 +1,5 @@
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from quanvrob.attacks import (
     save_batch,
     transfer_attack,
 )
+from quanvrob import container
 from quanvrob.classical import save_checkpoint
 from quanvrob.qsim import GateKind
 
@@ -278,6 +280,14 @@ def test_spec_validation():
         AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=3)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "step_size", "momentum"])
+def test_spec_rejects_a_nan_field(field):
+    fields = dict(kind=AttackKind.MIM, epsilon=0.1, step_size=0.02, iterations=3, momentum=1.0)
+    AttackSpec(**{**fields, field: np.inf})  # an infinity is allowed
+    with pytest.raises(ValueError, match="non-negative"):
+        AttackSpec(**{**fields, field: np.nan})
+
+
 # ---------------------------------------------------------------------------
 # evaluate_robustness / transfer_attack
 # ---------------------------------------------------------------------------
@@ -405,6 +415,28 @@ def test_batch_invariants_enforced():
         AdversarialBatch(originals, bad, "fp", AttackSpec(AttackKind.FGSM, 0.1))
     with pytest.raises(ValueError):
         AdversarialBatch(originals, originals + 1.0, "fp", AttackSpec(AttackKind.FGSM, 1.5))
+
+
+@pytest.mark.parametrize("stack", ["original", "adversarial"])
+def test_batch_rejects_a_nan_pixel(stack):
+    clean = np.full((2, 2, 2), 0.5)
+    bad = clean.copy()
+    bad[1, 0, 1] = np.nan
+    stacks = {"originals": clean, "adversarials": clean, stack + "s": bad}
+    with pytest.raises(ValueError, match=f"{stack} pixels must be finite"):
+        AdversarialBatch(**stacks, source_fingerprint="fp", spec=AttackSpec(AttackKind.FGSM, 0.1))
+
+
+def test_load_batch_rejects_nan_adversarials(tmp_path):
+    originals = np.full((2, 4, 4), 0.5)
+    adversarials = originals.copy()
+    adversarials[0, 2, 3] = np.nan
+    spec = AttackSpec(AttackKind.FGSM, 0.1)
+    path = tmp_path / "batch.advb"
+    header = {"spec": asdict(spec), "source_fingerprint": "fp"}
+    container.save(path, "adversarial_batch", header, originals=originals, adversarials=adversarials)
+    with pytest.raises(ValueError, match="adversarial pixels must be finite"):
+        load_batch(path)
 
 
 def test_batch_round_trip(tmp_path):

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from quanvrob import classical
 from quanvrob.classical import (
     AdamState,
     ConvLayer,
@@ -15,7 +14,6 @@ from quanvrob.classical import (
     build_dense_head,
     conv_forward,
     conv_input_gradient,
-    conv_preactivation,
     dense_forward,
     init_adam_state,
     load_checkpoint,
@@ -25,7 +23,6 @@ from quanvrob.classical import (
 )
 
 from test_container import rewrite_header
-from test_models import make_cnn_model
 
 # ---------------------------------------------------------------------------
 # conv_forward
@@ -293,15 +290,6 @@ def test_conv_extractor_gradient_matches_direct_call():
     upstream = rng.normal(size=(4, 4, 4))
     direct = conv_input_gradient(extractor.layer, upstream, conv_forward(image, extractor.layer))
     assert np.array_equal(extractor.input_gradient(image, upstream), direct)
-
-
-def test_conv_model_gradient_convolves_once(monkeypatch):
-    calls = []
-    preactivation = classical.conv_preactivation
-    monkeypatch.setattr(classical, "conv_preactivation", lambda *args: calls.append(1) or preactivation(*args))
-    model = make_cnn_model(seed=4)
-    model.loss_and_input_gradient(np.random.default_rng(34).random((3, 8, 8)), np.array([1, 5, 8]))
-    assert len(calls) == 1
 
 
 def test_conv_warm_calls_are_bitwise_cold_calls():

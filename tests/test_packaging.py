@@ -17,13 +17,25 @@ def test_every_script_entry_point_resolves_to_a_callable():
 
 
 def test_every_library_definition_is_used_somewhere():
-    """Each function, class and method under src/quanvrob is named somewhere other than its own definition.
+    """Each function, class, method and module-level name under src/quanvrob is named outside its definition.
 
-    A use is a name, an attribute or an import in src/, tests/ or perfbench/.
+    A module-level name is one that a statement at the top of a module
+    assigns.  A use is a name, an attribute or an import in src/, tests/ or
+    perfbench/.
     """
     definitions, uses = [], {}
     for path in sorted(path for d in ("src", "tests", "perfbench") for path in (PYPROJECT.parent / d).rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        if "quanvrob" in path.parts:
+            for statement in tree.body:
+                if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                    targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                    definitions += [
+                        (node.id, path, statement.lineno, statement.end_lineno)
+                        for target in targets
+                        for node in ast.walk(target)
+                        if isinstance(node, ast.Name) and not node.id.startswith("__")
+                    ]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if "quanvrob" in path.parts and not node.name.startswith("__"):

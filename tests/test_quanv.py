@@ -5,9 +5,18 @@ from hypothesis import strategies as st
 
 from quanvrob import qsim
 from quanvrob.ansatz import Ansatz, AnsatzKind, angles_of, build_ansatz, with_angles
-from quanvrob.classical import ConvExtractor, build_conv_layer
+from quanvrob.classical import ConvExtractor, build_conv_layer, build_dense_head
 from quanvrob.qsim import rot, zz
-from quanvrob.attacks import make_spec, transfer_attack
+from quanvrob.attacks import (
+    AttackKind,
+    evaluate_robustness,
+    load_batch,
+    make_batch,
+    make_spec,
+    save_batch,
+    transfer_attack,
+)
+from quanvrob.models import Model, accuracy
 from quanvrob.quanv import QuanvExtractor, clear_memo, read_feature_cache, write_feature_cache
 
 from test_models import make_qunn_model
@@ -454,19 +463,16 @@ def test_another_term_list_encodes_again(tangents):
     assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
 
 
-def test_the_memo_holds_the_two_stacks_used_last(tangents):
+def test_the_memo_holds_the_stack_encoded_last(tangents):
     extractor = QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed=0))
     tangents.clear()
-    a, b, c = random_image(np.random.default_rng(37), (3, 4, 4))
-    for image in (a, b, a, c):
-        extractor.forward(image)
-    assert tangents == ["tan"] * 3  # the second a is held
+    a, b = random_image(np.random.default_rng(37), (2, 4, 4))
     extractor.forward(a)
-    assert tangents == ["tan"] * 3  # a was used after b, so c displaced b
+    extractor.forward(a)
+    assert tangents == ["tan"]  # a repeated stack is held
     extractor.forward(b)
-    extractor.forward(c)
     extractor.forward(a)
-    assert tangents == ["tan"] * 6  # after three distinct stacks the first is encoded again
+    assert tangents == ["tan"] * 3  # b displaced a
 
 
 def test_a_transfer_row_encodes_the_clean_and_the_adversarial_stack_once(tangents):
@@ -483,6 +489,71 @@ def test_a_transfer_row_encodes_the_clean_and_the_adversarial_stack_once(tangent
     for target in targets:
         transfer_attack(targets[0], target, images, labels, make_spec("fgsm", 0.1))
     assert tangents == ["tan"] * 2
+
+
+def grid_models():
+    """The benchmark's six models for 8x8 images: the layouts of filter seed 0 and the cnn, each with its own head.
+
+    Identical heads would give the four layouts with equal features equal
+    adversarials, which the memo would then hold across sources.
+    """
+    extractors = [QuanvExtractor(build_ansatz(kind, 4, seed=0)) for kind in AnsatzKind]
+    extractors.append(ConvExtractor(build_conv_layer(0)))
+    return [Model(extractor, build_dense_head(10 + i, in_dim=64)) for i, extractor in enumerate(extractors)]
+
+
+def test_a_transfer_grid_takes_a_pinned_number_of_encodings(tangents, tmp_path):
+    """FGSM curves, the transfer matrix and the batches, in the benchmark's order: 5 E + 12 encodings.
+
+    Curves: each layout's clean gradient encodes x once for its forward pass
+    and its input gradient, epsilon 0 scores x from the memo, and each of the
+    E - 1 other epsilons encodes its adversarial: E per layout.  Matrix: every
+    source's crafts are served by its model's gradient memo, which still
+    holds the clean gradient of its curve; each source's
+    adversarial is encoded for the first layout target and reused by the
+    other four, the cnn in between encoding nothing: one per source, 6.
+    Batches: the same again, 6, since the memo then holds the last source's
+    adversarial.
+    """
+    grid = grid_models()
+    rng = np.random.default_rng(39)
+    x, y = random_image(rng, (3, 8, 8)), rng.integers(0, 10, size=3)
+    curve = [make_spec(AttackKind.FGSM, eps) for eps in (0.0, 0.05, 0.1, 0.2)]
+    spec = make_spec(AttackKind.FGSM, 0.1)
+    tangents.clear()
+    for model in grid:
+        evaluate_robustness(model, x, y, curve)
+    for source in grid:
+        for target in grid:
+            transfer_attack(source, target, x, y, spec)
+    for source in grid:
+        save_batch(tmp_path / "batch", make_batch(source, x, y, spec))
+        loaded = load_batch(tmp_path / "batch")
+        for target in grid:
+            accuracy(target, loaded.adversarials, y)
+    assert tangents == ["tan"] * (5 * len(curve) + 12)
+
+
+def test_a_whitebox_grid_takes_a_pinned_number_of_encodings(tangents):
+    """PGD then MIM curves over epsilons (0, a, b), in the benchmark's order: 4 I + 4 encodings per layout.
+
+    Each attack at epsilon 0 encodes x for its first gradient; its step is
+    0, so its other steps are served by the model's gradient memo and its
+    score by the encoding memo: 1.  At a the first gradient at x is a hit
+    in the gradient memo, the I - 1 later ones each encode their iterate,
+    and the score encodes the adversarial: I.  At b the first gradient at x
+    misses, since the gradient memo holds a's last iterate: I + 1.  So
+    2 (1 + I + I + 1) per layout, and nothing for the cnn.
+    """
+    grid = grid_models()
+    rng = np.random.default_rng(40)
+    x, y = random_image(rng, (3, 8, 8)), rng.integers(0, 10, size=3)
+    iterations = 3
+    tangents.clear()
+    for model in grid:
+        for kind in (AttackKind.PGD, AttackKind.MIM):
+            evaluate_robustness(model, x, y, [make_spec(kind, eps, iterations=iterations) for eps in (0.0, 0.1, 0.2)])
+    assert tangents == ["tan"] * (5 * (4 * iterations + 4))
 
 
 def test_model_gradient_encodes_once(tangents):
