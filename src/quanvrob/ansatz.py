@@ -11,7 +11,9 @@ a layout-specific block of ZZ couplings:
              single ZZ coupling on a uniformly drawn pair
 
 All angles are drawn uniformly from [0, 2*pi) by a generator seeded at
-construction, so (kind, n_qubits, seed) fully determines the circuit.
+construction, so (kind, n_qubits, seed) fully determines the circuit:
+``build_ansatz`` rebuilds a filter from those three, and
+``Ansatz.fingerprint`` identifies it.
 """
 
 from __future__ import annotations
@@ -88,23 +90,8 @@ def angles_of(ansatz: Ansatz) -> np.ndarray:
     return np.array([a for g in ansatz.gates for a in g.angles], dtype=float)
 
 
-def with_angles(ansatz: Ansatz, angles: np.ndarray) -> Ansatz:
-    """Same gate structure with the flat angle vector replaced."""
-    angles = np.asarray(angles, dtype=float).ravel()
-    expected = sum(len(g.angles) for g in ansatz.gates)
-    if angles.size != expected:
-        raise ValueError(f"expected {expected} angles, got {angles.size}")
-    gates = []
-    pos = 0
-    for g in ansatz.gates:
-        k = len(g.angles)
-        gates.append(Gate(g.kind, g.targets, tuple(angles[pos : pos + k])))
-        pos += k
-    return Ansatz(ansatz.kind, ansatz.n_qubits, tuple(gates), ansatz.seed)
-
-
 def to_text(ansatz: Ansatz) -> str:
-    """Replayable plain-text record: kind, size, seed and exact angles."""
+    """The canonical text the fingerprint hashes: kind, size, seed and exact angles."""
     angle_text = ",".join(format(a, ".17g") for a in angles_of(ansatz))
     return (
         f"kind={ansatz.kind.value}\n"
@@ -112,29 +99,3 @@ def to_text(ansatz: Ansatz) -> str:
         f"seed={ansatz.seed}\n"
         f"angles={angle_text}\n"
     )
-
-
-def from_text(text: str) -> Ansatz:
-    """Rebuild the ansatz from a record written by :func:`to_text`.
-
-    The gate structure is reconstructed from (kind, n_qubits, seed) and the
-    stored angles are then applied verbatim, so records survive angle edits.
-    """
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed ansatz record line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    for required in ("kind", "n_qubits", "seed", "angles"):
-        if required not in fields:
-            raise ValueError(f"ansatz record missing field {required!r}")
-    kind = AnsatzKind(fields["kind"])
-    rebuilt = build_ansatz(kind, int(fields["n_qubits"]), int(fields["seed"]))
-    angles = np.array(
-        [float(v) for v in fields["angles"].split(",") if v], dtype=float
-    )
-    return with_angles(rebuilt, angles)

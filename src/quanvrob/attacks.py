@@ -67,8 +67,15 @@ class AttackSpec:
         if self.kind in (AttackKind.PGD, AttackKind.MIM):
             if self.step_size is None or not self.step_size >= 0:
                 raise ValueError(f"{self.kind} needs a non-negative step size")
-            if self.iterations is None or self.iterations < 1:
+            if self.iterations is None:
                 raise ValueError(f"{self.kind} needs at least one iteration")
+        if self.iterations is not None:
+            # bool is an int, and a float such as 3.0 would fail late in range()
+            n = self.iterations
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"iterations must be an integer of at least 1, got {n!r}")
+            # a Python int, so that the spec serialises to JSON in save_batch
+            object.__setattr__(self, "iterations", int(n))
         if self.kind == AttackKind.MIM and (self.momentum is None or not self.momentum >= 0):
             raise ValueError("mim needs a non-negative momentum factor")
 

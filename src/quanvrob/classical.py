@@ -18,6 +18,7 @@ over 10 classes, optimized with Adam on the cross-entropy loss.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,11 +169,18 @@ def cross_entropy(probs: np.ndarray, label):
     the loss is an (N,) array, one per sample.
     """
     if probs.ndim == 1:
-        if not 0 <= label < N_CLASSES:
-            raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label}")
+        # scalar checks only: head training makes one call per sample.  operator.index
+        # takes integer scalars and 0-d integer arrays and rejects floats and np.bool_;
+        # a Python bool is an int, so it is rejected by name
+        try:
+            index = operator.index(label)
+        except TypeError:
+            index = None
+        if index is None or isinstance(label, bool) or not 0 <= index < N_CLASSES:
+            raise ValueError(f"label must be an integer in 0..{N_CLASSES - 1}, got {label!r}")
         dlogits = probs.copy()
-        dlogits[label] -= 1.0
-        return float(-np.log(probs[label])), dlogits
+        dlogits[index] -= 1.0
+        return float(-np.log(probs[index])), dlogits
     labels = np.asarray(label)
     if labels.shape != probs.shape[:1]:
         raise ValueError(f"labels of shape {labels.shape} do not match a stack of shape {probs.shape[:1]}")

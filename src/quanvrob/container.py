@@ -80,12 +80,13 @@ def save(path, kind: str, header: dict, **arrays) -> None:
     """
     arrays = {name: np.asarray(arrays[name], dtype=dtype) for name, (dtype, _) in KINDS[kind][1].items()}
     _check(kind, header, arrays)
-    record = {**header, "kind": kind, "version": VERSION, "arrays": list(arrays)}
+    # serialised before the unlink, so a header that JSON cannot hold leaves the old file
+    record = json.dumps({**header, "kind": kind, "version": VERSION, "arrays": list(arrays)}).encode()
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
     # np.save to a str path would append ".npy" to a name like "x.ckpt"
     with open(path, "wb") as fh:
-        np.save(fh, np.frombuffer(json.dumps(record).encode(), dtype=np.uint8))
+        np.save(fh, np.frombuffer(record, dtype=np.uint8))
         for array in arrays.values():
             np.save(fh, array)
 

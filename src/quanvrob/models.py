@@ -22,13 +22,14 @@ again; the extractor is frozen, so its own arrays are not in the key.  Keys
 are bytes, not identity, as in the quanv encoding memo, which holds only
 the last stack encoded and leaves repeated gradients to this memo.  The
 head's bytes cost a copy of its weights per call; read-only head arrays
-would not, but a view taken before would still write into them.  An entry holds about two
-stacks of pixels (the key and the gradient) and one head.  Only integer
-labels are stored, and only after every check passed, so a call that
-raises never enters the memo.  The memo holds copies and hands out fresh
-ones, so a caller writing into its result cannot change the next answer.
-It is one tuple that a call reads once and replaces whole, so a concurrent
-caller can only miss.  One entry serves the repeats above, which come
+would not, but a view taken before would still write into them.  An entry
+holds about two stacks of pixels (the key and the gradient) and one head.
+An entry is stored only after every check passed, so it holds integer
+labels, whose bytes are their values, and a call that raises never enters
+the memo.  The memo holds copies and hands out fresh ones, so a caller
+writing into its result cannot change the next answer.  It is one tuple
+that a call reads once and replaces whole, so a concurrent caller can only
+miss.  One entry serves the repeats above, which come
 back to back; PGD and MIM at epsilon > 0 step away from the clean stack,
 so their first gradient at the next epsilon recomputes it.  ``loss`` and
 the predictions are not memoised.
@@ -113,26 +114,23 @@ class Model:
         """
         image, labels = np.asarray(image, dtype=float), np.asarray(label)
         extractor, head = self.extractor, self.head
-        key = None
-        if labels.dtype.kind in "iu":  # valid labels are integers, whose bytes are their values
-            key = (
-                image.shape,
-                image.tobytes(),
-                labels.shape,
-                labels.dtype.str,
-                labels.tobytes(),
-                head.weights.tobytes(),
-                head.bias.tobytes(),
-            )
+        key = (
+            image.shape,
+            image.tobytes(),
+            labels.shape,
+            labels.dtype.str,
+            labels.tobytes(),
+            head.weights.tobytes(),
+            head.bias.tobytes(),
+        )
         last = self._last
-        if key is not None and last is not None and last[0] is extractor and last[1] is head and last[2] == key:
+        if last is not None and last[0] is extractor and last[1] is head and last[2] == key:
             return _copies(last[3], last[4])
         fmap = extractor.forward(image)
         # the head's own gradients (dW, db) are not needed for the pixels
         loss, dlogits = cross_entropy(dense_forward(fmap, head), label)
         grad = extractor.input_gradient(image, feature_gradient(head, dlogits).reshape(fmap.shape))
-        if key is not None:
-            self._last = (extractor, head, key, *_copies(loss, grad))
+        self._last = (extractor, head, key, *_copies(loss, grad))
         return loss, grad
 
     def input_gradient(self, image: np.ndarray, label) -> np.ndarray:

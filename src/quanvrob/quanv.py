@@ -307,6 +307,8 @@ def write_feature_cache(
     indices = np.asarray(indices)
     if indices.dtype.kind not in "iu" or (indices.size and indices.min() < 0):
         raise ValueError("image indices must be non-negative integers")
+    if np.unique(indices).size != indices.size:
+        raise ValueError("image indices must be distinct")
     container.save(path, "feature_cache", {"fingerprint": fingerprint_hex}, indices=indices, maps=feature_maps)
 
 
@@ -315,4 +317,7 @@ def read_feature_cache(path, expected_fingerprint_hex: str | None = None):
     header, arrays = container.load(path, "feature_cache")
     if expected_fingerprint_hex is not None and header["fingerprint"] != expected_fingerprint_hex:
         raise ValueError(f"feature cache {path} was written by a different extractor")
-    return dict(zip(arrays["indices"].tolist(), arrays["maps"])), header["fingerprint"]
+    maps = dict(zip(arrays["indices"].tolist(), arrays["maps"]))
+    if len(maps) != len(arrays["indices"]):
+        raise ValueError(f"feature cache {path} repeats an image index")
+    return maps, header["fingerprint"]

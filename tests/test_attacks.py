@@ -278,6 +278,19 @@ def test_spec_validation():
         AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=0, momentum=1.0)
     with pytest.raises(ValueError):
         AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=3)
+    for iterations in (2.5, np.nan, True, 3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            AttackSpec(AttackKind.PGD, 0.1, step_size=0.02, iterations=iterations)
+
+
+def test_numpy_integer_iterations_are_stored_as_int_and_round_trip(tmp_path):
+    spec = make_spec(AttackKind.PGD, 0.1, iterations=np.int64(2))
+    assert type(spec.iterations) is int and spec == make_spec(AttackKind.PGD, 0.1, iterations=2)
+    images = np.random.default_rng(14).random((2, 8, 8))
+    batch = make_batch(make_cnn_model(seed=14), images, np.array([1, 2]), spec)
+    path = tmp_path / "batch.advb"
+    save_batch(path, batch)
+    assert load_batch(path).spec == spec
 
 
 @pytest.mark.parametrize("field", ["epsilon", "step_size", "momentum"])

@@ -21,6 +21,7 @@ from quanvrob.classical import (
     save_checkpoint,
     softmax,
 )
+from quanvrob.models import Model
 
 from test_container import rewrite_header
 
@@ -224,10 +225,18 @@ def test_loss_gradients_match_finite_difference():
 
 
 def test_loss_rejects_bad_label():
+    """One sample and a stack reject the same labels: out of range, not an integer, or a bool."""
     head = build_dense_head(seed=0, in_dim=4)
     probs = dense_forward(np.ones(4), head)
-    with pytest.raises(ValueError):
-        loss_and_grads(head, probs, 10, np.ones(4))
+    model = Model(ConvExtractor(build_conv_layer(0)), build_dense_head(seed=1, in_dim=16))
+    image = np.random.default_rng(0).random((4, 4))
+    for label in (10, -1, 3.0, 2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="label"):
+            loss_and_grads(head, probs, label, np.ones(4))
+        with pytest.raises(ValueError, match="label"):
+            model.loss(image, label)
+        with pytest.raises(ValueError, match="label"):
+            model.loss(image[None], np.array([label]))
 
 
 # ---------------------------------------------------------------------------

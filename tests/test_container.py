@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quanvrob import container
 from quanvrob.attacks import AdversarialBatch, AttackKind, AttackSpec, load_batch, save_batch
 from quanvrob.classical import DenseHead, load_checkpoint, save_checkpoint
 from quanvrob.quanv import read_feature_cache, write_feature_cache
@@ -186,6 +187,16 @@ def test_saving_over_a_symlink_replaces_it_and_leaves_its_target(tmp_path):
     assert not link.is_symlink()
     assert target.read_bytes() == before
     assert same(load_checkpoint(link)[:2], written[:2])
+
+
+def test_a_header_json_cannot_hold_leaves_the_old_file(tmp_path):
+    path = tmp_path / "file"
+    small_file("checkpoint", path, 1, 2, 2, 2)
+    before = path.read_bytes()
+    header = {"model_kind": "cnn", "extractor_seed": np.float32(2), "extractor_fingerprint": "f" * 64}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        container.save(path, "checkpoint", header, weights=np.zeros((10, 4)), bias=np.zeros(10))
+    assert path.read_bytes() == before
 
 
 def test_missing_file_is_not_a_value_error(tmp_path):

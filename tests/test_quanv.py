@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanvrob import qsim
-from quanvrob.ansatz import Ansatz, AnsatzKind, angles_of, build_ansatz, with_angles
+from quanvrob import container, qsim
+from quanvrob.ansatz import Ansatz, AnsatzKind, build_ansatz
 from quanvrob.classical import ConvExtractor, build_conv_layer, build_dense_head
 from quanvrob.qsim import rot, zz
 from quanvrob.attacks import (
@@ -28,7 +28,7 @@ def random_image(rng, shape=(28, 28)):
 
 
 def identity_extractor():
-    return QuanvExtractor(with_angles(build_ansatz(AnsatzKind.NO_ENT, 4, seed=1), np.zeros(12)))
+    return QuanvExtractor(Ansatz(AnsatzKind.NO_ENT, 4, tuple(rot(q, 0.0, 0.0, 0.0) for q in range(4)), seed=1))
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +611,12 @@ def assert_matches_oracle(ansatz, pixels, upstream):
     upstream=_upstream,
 )
 def test_table_matches_oracle_for_random_angles(kind, seed, angles, pixels, upstream):
-    ansatz = build_ansatz(kind, 4, seed)
-    n_angles = angles_of(ansatz).size
-    assert_matches_oracle(with_angles(ansatz, angles[:n_angles]), pixels, upstream)
+    """The table matches the oracle on each layout's gates with drawn angles in place of the seeded ones."""
+    drawn = iter(angles)
+    gates = tuple(
+        qsim.Gate(g.kind, g.targets, tuple(next(drawn) for _ in g.angles)) for g in build_ansatz(kind, 4, seed).gates
+    )
+    assert_matches_oracle(Ansatz(kind, 4, gates, seed), pixels, upstream)
 
 
 @settings(max_examples=40, deadline=None)
@@ -705,6 +708,21 @@ def test_feature_cache_round_trips_any_index_and_digest(tmp_path):
     assert all(np.array_equal(loaded[i], m) for i, m in zip([5, 0, 2**32 - 1], maps))
     with pytest.raises(ValueError):
         write_feature_cache(path, digest, np.array([-1]), maps[:1])
+
+
+def test_feature_cache_rejects_duplicate_indices_on_write(tmp_path):
+    path = tmp_path / "features.bin"
+    with pytest.raises(ValueError, match="distinct"):
+        write_feature_cache(path, "ab" * 32, np.array([3, 5, 3]), np.zeros((3, 2, 2, 4)))
+    assert not path.exists()
+
+
+def test_feature_cache_rejects_duplicate_indices_on_read(tmp_path):
+    path = tmp_path / "features.bin"
+    maps = np.random.default_rng(17).normal(size=(2, 2, 2, 4))
+    container.save(path, "feature_cache", {"fingerprint": "ab" * 32}, indices=np.array([4, 4]), maps=maps)
+    with pytest.raises(ValueError, match="repeats an image index"):
+        read_feature_cache(path)
 
 
 def test_feature_cache_holds_any_map_shape(tmp_path):
