@@ -6,13 +6,16 @@ FGSM, PGD and MIM are one white-box attack against any model exposing
   x <- clip(x0 + clip(x + alpha * sign(d) - x0, -eps, eps), 0, 1)
 
 with sign(0) = 0, so every adversarial stays in the L-infinity ball of
-radius eps around x0 and inside [0, 1].  The kinds differ only in these:
+radius eps around x0 and inside [0, 1].  A spec is (kind, eps, iterations),
+and the kinds differ only in these:
 
   fgsm  1 step, alpha = eps, d = grad at x: clip(x0 + eps * sign(grad), 0, 1)
-  pgd   ``iterations`` steps of ``step_size``, d = grad at x, no random start
-        (Madry et al., arXiv:1706.06083)
-  mim   as pgd with d <- mu * d + grad / ||grad||_1, a decayed sum of
+  pgd   ``iterations`` steps of alpha = eps * STEP_RATIO, d = grad at x, no
+        random start (Madry et al., arXiv:1706.06083)
+  mim   as pgd with d <- MOMENTUM * d + grad / ||grad||_1, a decayed sum of
         L1-normalised gradients (Dong et al., arXiv:1710.06081)
+
+The step ratio and the decay are the module constants below.
 
 Every pixel of the starting image or stack must be finite and in [0, 1];
 ``generate`` and ``evaluate_robustness`` raise a ValueError before any
@@ -31,6 +34,7 @@ attack call per spec (per source and spec in transfer) over the whole stack.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,8 +42,8 @@ import numpy as np
 from . import container
 from .models import accuracy, as_stack
 
-STEP_RATIO = 0.25  # make_spec's step size as a fraction of epsilon
-MOMENTUM = 1.0  # make_spec's mim decay factor
+STEP_RATIO = 0.25  # the pgd and mim step size as a fraction of epsilon
+MOMENTUM = 1.0  # the mim decay factor
 
 
 class AttackKind:
@@ -54,39 +58,31 @@ class AttackKind:
 class AttackSpec:
     kind: str
     epsilon: float
-    step_size: float | None = None
     iterations: int | None = None
-    momentum: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in AttackKind.ALL:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        # written so that NaN fails; an infinity passes
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.kind in (AttackKind.PGD, AttackKind.MIM):
-            if self.step_size is None or not self.step_size >= 0:
-                raise ValueError(f"{self.kind} needs a non-negative step size")
-            if self.iterations is None:
-                raise ValueError(f"{self.kind} needs at least one iteration")
-        if self.iterations is not None:
-            # bool is an int, and a float such as 3.0 would fail late in range()
-            n = self.iterations
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"iterations must be an integer of at least 1, got {n!r}")
-            # a Python int, so that the spec serialises to JSON in save_batch
-            object.__setattr__(self, "iterations", int(n))
-        if self.kind == AttackKind.MIM and (self.momentum is None or not self.momentum >= 0):
-            raise ValueError("mim needs a non-negative momentum factor")
+        eps = self.epsilon
+        # bool is an int; "not >= 0" so that NaN fails, while an infinity passes
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps >= 0:
+            raise ValueError(f"epsilon must be a non-negative number, got {eps!r}")
+        # a Python float, so that the spec serialises to JSON in save_batch
+        object.__setattr__(self, "epsilon", float(eps))
+        n = self.iterations
+        if self.kind == AttackKind.FGSM:
+            if n is not None:
+                raise ValueError(f"fgsm takes one step, not iterations={n!r}")
+            return
+        # bool is an int, and a float such as 3.0 would fail late in range()
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"{self.kind} iterations must be an integer of at least 1, got {n!r}")
+        object.__setattr__(self, "iterations", int(n))
 
 
 def make_spec(kind: str, epsilon: float, iterations: int = 10) -> AttackSpec:
-    """Spec with the default iterative hyperparameters (alpha = eps * STEP_RATIO, mu = MOMENTUM)."""
-    if kind == AttackKind.FGSM:
-        return AttackSpec(kind, epsilon)
-    if kind == AttackKind.PGD:
-        return AttackSpec(kind, epsilon, step_size=epsilon * STEP_RATIO, iterations=iterations)
-    return AttackSpec(kind, epsilon, step_size=epsilon * STEP_RATIO, iterations=iterations, momentum=MOMENTUM)
+    """The spec of ``kind`` at ``epsilon``, with ``iterations`` steps for pgd and mim; fgsm takes one."""
+    return AttackSpec(kind, epsilon, None if kind == AttackKind.FGSM else iterations)
 
 
 def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
@@ -109,7 +105,8 @@ def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
     """The adversarial of an image or a stack under ``spec``: one model gradient per step."""
     image = np.asarray(image, dtype=float)
     _check_pixels(image)
-    steps, alpha = (1, spec.epsilon) if spec.kind == AttackKind.FGSM else (spec.iterations, spec.step_size)
+    steps = spec.iterations or 1  # an fgsm spec has no iterations
+    alpha = spec.epsilon if spec.kind == AttackKind.FGSM else spec.epsilon * STEP_RATIO
     x, g = image, 0.0
     for _ in range(steps):
         direction = model.input_gradient(x, label)
@@ -117,7 +114,7 @@ def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
             l1 = np.sum(np.abs(direction), axis=(-2, -1), keepdims=True)
             # a vanished gradient contributes nothing this step
             normalized = np.divide(direction, l1, out=np.zeros_like(direction), where=l1 > 0)
-            direction = g = spec.momentum * g + normalized
+            direction = g = MOMENTUM * g + normalized
         x = _project(x + alpha * np.sign(direction), image, spec.epsilon)
     return x
 

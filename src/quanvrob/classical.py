@@ -7,9 +7,12 @@ reads each image through its pixel planes (:func:`quanvrob.patches.planes`):
 per image, the (filters, 4) kernel matrix times the (4, P) planes, with the
 bias added straight into the channel-last feature map.  Its input gradient
 is the transposed product, masked where the pre-activation is not positive
-and written back through the planes of the image.  The extractor keeps no
-memo: its input gradient convolves the pixels again, a small share of a
-model gradient, and ``models.Model`` answers a repeated gradient itself.
+and written back through the planes of the image.  ``ConvExtractor`` holds
+all of it: ``forward(image)`` and ``input_gradient(image, upstream)`` take
+the pixels, and the gradient computes its ReLU mask from them.  The
+extractor keeps no memo: its input gradient convolves the pixels again, a
+small share of a model gradient, and ``models.Model`` answers a repeated
+gradient itself.
 
 Both extractors feed the same trainable piece: a dense layer with softmax
 over 10 classes, optimized with Adam on the cross-entropy loss.
@@ -46,52 +49,6 @@ def build_conv_layer(seed: int) -> ConvLayer:
     return ConvLayer(kernels=kernels, bias=np.zeros(N_FILTERS), seed=int(seed))
 
 
-def conv_preactivation(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """The convolution before its ReLU, (H/2, W/2, filters) for an image, with a leading N for a stack."""
-    image = np.asarray(image, dtype=float)
-    # any finite pixel is accepted, also outside [0, 1]
-    if not np.all(np.isfinite(image)):
-        raise ValueError("image pixels must be finite")
-    pixels = planes(image)
-    n, _, _, hp, wp = pixels.shape
-    pre = np.empty(image.shape[:-2] + (hp, wp, N_FILTERS))
-    # (filters, 4) @ (4, P) is one matrix product per image, so an image's
-    # result does not depend on the stack around it
-    channels = layer.kernels.reshape(N_FILTERS, -1) @ pixels.reshape(n, 4, hp * wp)
-    np.add(channels, layer.bias[:, None], out=pre.reshape(n, hp * wp, N_FILTERS).swapaxes(1, 2))
-    return pre
-
-
-def conv_forward(image: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """ReLU(conv2d(image)) with kernel 2, stride 2, no padding, for an image or a stack."""
-    return np.maximum(conv_preactivation(image, layer), 0.0)
-
-
-def conv_input_gradient(
-    layer: ConvLayer, upstream: np.ndarray, forward_activations: np.ndarray
-) -> np.ndarray:
-    """Backprop through ReLU then scatter each filter kernel to its patch.
-
-    Only the sign of ``forward_activations`` is read, so the ReLU's input
-    serves as well as its output.
-    """
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != forward_activations.shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match the feature map "
-            f"{forward_activations.shape}"
-        )
-    *lead, hp, wp, _ = upstream.shape
-    masked = upstream * (forward_activations > 0.0)
-    grad = np.empty((*lead, 2 * hp, 2 * wp))
-    pixels = planes(grad)
-    # (4, filters) @ (filters, P) per image: each patch's pixel gradients, in plane order
-    pixels[...] = (
-        layer.kernels.reshape(N_FILTERS, -1).T @ masked.reshape(len(pixels), hp * wp, N_FILTERS).swapaxes(1, 2)
-    ).reshape(pixels.shape)
-    return grad
-
-
 class ConvExtractor:
     """Frozen random convolution presented with the shared extractor surface."""
 
@@ -111,11 +68,40 @@ class ConvExtractor:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def _preactivation(self, image: np.ndarray) -> np.ndarray:
+        """The convolution before its ReLU, (H/2, W/2, filters) for an image, with a leading N for a stack."""
+        image = np.asarray(image, dtype=float)
+        # any finite pixel is accepted, also outside [0, 1]
+        if not np.all(np.isfinite(image)):
+            raise ValueError("image pixels must be finite")
+        pixels = planes(image)
+        n, _, _, hp, wp = pixels.shape
+        pre = np.empty(image.shape[:-2] + (hp, wp, N_FILTERS))
+        # (filters, 4) @ (4, P) is one matrix product per image, so an image's
+        # result does not depend on the stack around it
+        channels = self.layer.kernels.reshape(N_FILTERS, -1) @ pixels.reshape(n, 4, hp * wp)
+        np.add(channels, self.layer.bias[:, None], out=pre.reshape(n, hp * wp, N_FILTERS).swapaxes(1, 2))
+        return pre
+
     def forward(self, image: np.ndarray) -> np.ndarray:
-        return conv_forward(image, self.layer)
+        """ReLU(conv2d(image)) with kernel 2, stride 2, no padding, for an image or a stack."""
+        return np.maximum(self._preactivation(image), 0.0)
 
     def input_gradient(self, image: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        return conv_input_gradient(self.layer, upstream, conv_preactivation(image, self.layer))
+        """Backprop ``upstream`` through the ReLU at ``image``, then scatter each filter kernel to its patch."""
+        pre = self._preactivation(image)
+        upstream = np.asarray(upstream, dtype=float)
+        if upstream.shape != pre.shape:
+            raise ValueError(f"upstream shape {upstream.shape} does not match the feature map {pre.shape}")
+        *lead, hp, wp, _ = upstream.shape
+        masked = upstream * (pre > 0.0)
+        grad = np.empty((*lead, 2 * hp, 2 * wp))
+        pixels = planes(grad)
+        # (4, filters) @ (filters, P) per image: each patch's pixel gradients, in plane order
+        kernels = self.layer.kernels.reshape(N_FILTERS, -1)
+        per_patch = kernels.T @ masked.reshape(len(pixels), hp * wp, N_FILTERS).swapaxes(1, 2)
+        pixels[...] = per_patch.reshape(pixels.shape)
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +148,12 @@ def dense_forward(features: np.ndarray, head: DenseHead) -> np.ndarray:
     return softmax((head.weights @ flat[..., None])[..., 0] + head.bias)
 
 
+def check_labels(labels: np.ndarray) -> None:
+    """A ValueError unless an array of labels is of integer dtype with every value in 0..N_CLASSES - 1."""
+    if labels.dtype.kind not in "iu" or (labels.size and not (labels.min() >= 0 and labels.max() < N_CLASSES)):
+        raise ValueError(f"labels must be integers in 0..{N_CLASSES - 1}")
+
+
 def cross_entropy(probs: np.ndarray, label):
     """Cross-entropy -log p[label] and its gradient with respect to the logits.
 
@@ -184,8 +176,7 @@ def cross_entropy(probs: np.ndarray, label):
     labels = np.asarray(label)
     if labels.shape != probs.shape[:1]:
         raise ValueError(f"labels of shape {labels.shape} do not match a stack of shape {probs.shape[:1]}")
-    if labels.dtype.kind not in "iu" or (labels.size and not (labels.min() >= 0 and labels.max() < N_CLASSES)):
-        raise ValueError(f"labels must be integers in 0..{N_CLASSES - 1}")
+    check_labels(labels)
     rows = np.arange(len(labels))
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0

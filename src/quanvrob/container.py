@@ -6,8 +6,9 @@ first record is a uint8 array holding the UTF-8 JSON header
     {"kind": ..., "version": 1, "arrays": [names], ...fields}
 
 and the named arrays follow, one record each, in that order.  The file ends
-after the last array.  ``KINDS`` fixes, per kind, the header fields and
-each array's dtype and number of dimensions.  Each array holds one row per
+after the last array.  ``KINDS`` fixes, per kind, the header fields with
+their types (``str``, ``int`` but not bool, or ``dict``) and each array's
+dtype and number of dimensions.  Each array holds one row per
 item along its first axis (per image, or per class of a head), so all the
 arrays of a file share that length.  ``save`` and ``load`` check the same
 rules, so a file ``save`` writes is one ``load`` reads, and ``load`` rejects
@@ -45,21 +46,29 @@ import numpy as np
 
 VERSION = 1
 
-# per kind: the header fields, then each array's dtype and number of dimensions
+# per kind: each header field's type, then each array's dtype and number of dimensions
 KINDS = {
     "checkpoint": (
-        ("model_kind", "extractor_seed", "extractor_fingerprint"),
+        {"model_kind": str, "extractor_seed": int, "extractor_fingerprint": str},
         {"weights": ("<f8", 2), "bias": ("<f8", 1)},
     ),
-    "adversarial_batch": (("spec", "source_fingerprint"), {"originals": ("<f8", 3), "adversarials": ("<f8", 3)}),
-    "feature_cache": (("fingerprint",), {"indices": ("<u8", 1), "maps": ("<f8", 4)}),
+    "adversarial_batch": (
+        {"spec": dict, "source_fingerprint": str},
+        {"originals": ("<f8", 3), "adversarials": ("<f8", 3)},
+    ),
+    "feature_cache": ({"fingerprint": str}, {"indices": ("<u8", 1), "maps": ("<f8", 4)}),
 }
 
 
 def _check(kind: str, header: dict, arrays: dict) -> None:
     fields, schema = KINDS[kind]
-    if not header.keys() >= set(fields):
-        raise ValueError(f"the header is missing the fields {sorted(set(fields) - header.keys())}")
+    if not header.keys() >= fields.keys():
+        raise ValueError(f"the header is missing the fields {sorted(fields.keys() - header.keys())}")
+    for name, type_ in fields.items():
+        value = header[name]
+        # a bool is an int, but no field holds one
+        if not isinstance(value, type_) or isinstance(value, bool):
+            raise ValueError(f"the header field {name!r} is {value!r}, expected {type_.__name__}")
     for name, (dtype, ndim) in schema.items():
         array = arrays[name]
         if array.dtype != dtype or array.ndim != ndim:

@@ -43,7 +43,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .classical import DenseHead, cross_entropy, dense_forward, feature_gradient
+from .classical import DenseHead, check_labels, cross_entropy, dense_forward, feature_gradient
 # unused here, but the benchmark's tracing (perfbench/tracing.instrument)
 # patches models.loss_and_grads, so the name must stay in this module
 from .classical import loss_and_grads  # noqa: F401
@@ -143,12 +143,13 @@ def _copies(loss, grad):
 
 
 def as_stack(images, labels, what: str):
-    """(N, H, W) images and (N,) labels as arrays, or a ValueError naming the shapes."""
+    """(N, H, W) images and (N,) integer labels in 0..9 as arrays, or a ValueError naming the fault."""
     images, labels = np.asarray(images, dtype=float), np.asarray(labels)
     if len(images) == 0:
         raise ValueError(f"cannot {what} on an empty image set")
     if images.ndim != 3 or labels.shape != images.shape[:1]:
         raise ValueError(f"expected (N, H, W) images with (N,) labels, got {images.shape} and {labels.shape}")
+    check_labels(labels)
     return images, labels
 
 

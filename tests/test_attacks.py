@@ -6,6 +6,8 @@ import pytest
 
 from quanvrob.ansatz import AnsatzKind
 from quanvrob.attacks import (
+    MOMENTUM,
+    STEP_RATIO,
     AdversarialBatch,
     AttackKind,
     AttackSpec,
@@ -131,10 +133,10 @@ def test_fgsm_leaves_dead_pixels_exactly_unmoved(fill):
 # ---------------------------------------------------------------------------
 
 
-def test_pgd_single_full_step_equals_fgsm():
-    """One step of size eps is FGSM, and FGSM is clip(x + eps * sign(grad), 0, 1), bitwise.
+def test_fgsm_is_one_clipped_sign_step():
+    """FGSM is clip(x + eps * sign(grad), 0, 1), bitwise.
 
-    The FGSM curve in ``evaluate_robustness`` relies on the second identity to
+    The FGSM curve in ``evaluate_robustness`` relies on this identity to
     share one clean gradient across its grid.
     """
     rng = np.random.default_rng(1)
@@ -146,8 +148,6 @@ def test_pgd_single_full_step_equals_fgsm():
         for eps in EPS_GRID:
             via_fgsm = generate(model, images, labels, AttackSpec(AttackKind.FGSM, eps))
             assert via_fgsm.tobytes() == np.clip(images + eps * signs, 0.0, 1.0).tobytes()
-            via_pgd = generate(model, images, labels, AttackSpec(AttackKind.PGD, eps, step_size=eps, iterations=1))
-            assert via_pgd.tobytes() == via_fgsm.tobytes()
 
 
 def test_projected_full_step_is_a_clip():
@@ -170,18 +170,18 @@ def test_projected_full_step_is_a_clip():
 def test_pgd_zero_epsilon_is_identity():
     model = LinearToyModel([[1.0, 1.0]])
     image = np.array([[0.2, 0.9]])
-    adv = generate(model, image, 0, AttackSpec(AttackKind.PGD, 0.0, step_size=0.0, iterations=7))
+    adv = generate(model, image, 0, AttackSpec(AttackKind.PGD, 0.0, iterations=7))
     assert np.array_equal(adv, image)
 
 
 def test_pgd_monotone_loss_on_linear_model():
     model = LinearToyModel([[1.5, -0.7, 0.2, -2.0]])
     image = np.array([[0.5, 0.5, 0.5, 0.5]])
-    spec = AttackSpec(AttackKind.PGD, 0.2, step_size=0.05, iterations=8)
+    spec = AttackSpec(AttackKind.PGD, 0.2, iterations=8)
     x = image.copy()
     losses = [model.loss(x, 0)]
     for _ in range(spec.iterations):
-        step = AttackSpec(AttackKind.PGD, spec.epsilon, step_size=spec.step_size, iterations=1)
+        step = AttackSpec(AttackKind.PGD, spec.epsilon, iterations=1)
         x = generate(model, x, 0, step)
         x = np.clip(image + np.clip(x - image, -spec.epsilon, spec.epsilon), 0, 1)
         losses.append(model.loss(x, 0))
@@ -203,29 +203,10 @@ def test_pgd_respects_budget():
 # ---------------------------------------------------------------------------
 
 
-def test_mim_without_momentum_equals_pgd():
-    rng = np.random.default_rng(3)
-    model = make_qunn_model(seed=3)
-    for _ in range(5):
-        image = rng.random((8, 8))
-        eps, alpha, iters = 0.12, 0.03, 6
-        via_mim = generate(
-            model, image, 1,
-            AttackSpec(AttackKind.MIM, eps, step_size=alpha, iterations=iters, momentum=0.0),
-        )
-        via_pgd = generate(
-            model, image, 1, AttackSpec(AttackKind.PGD, eps, step_size=alpha, iterations=iters)
-        )
-        assert np.array_equal(via_mim, via_pgd)
-
-
 def test_mim_zero_epsilon_is_identity():
     model = LinearToyModel([[1.0, 1.0]])
     image = np.array([[0.2, 0.9]])
-    adv = generate(
-        model, image, 0,
-        AttackSpec(AttackKind.MIM, 0.0, step_size=0.0, iterations=3, momentum=1.0),
-    )
+    adv = generate(model, image, 0, AttackSpec(AttackKind.MIM, 0.0, iterations=3))
     assert np.array_equal(adv, image)
 
 
@@ -234,7 +215,8 @@ def test_mim_two_step_hand_trace():
     b = np.array([[-1.0, 0.8]])
     model = QuadraticToyModel(a, b)
     x0 = np.array([[0.4, 0.5]])
-    eps, alpha, mu = 0.2, 0.07, 1.0
+    eps = 0.2
+    alpha, mu = eps * STEP_RATIO, MOMENTUM
 
     # hand trace with explicit floats
     g0 = np.zeros_like(x0)
@@ -245,21 +227,46 @@ def test_mim_two_step_hand_trace():
     g2 = mu * g1 + grad2 / np.sum(np.abs(grad2))
     x2 = np.clip(x0 + np.clip(x1 + alpha * np.sign(g2) - x0, -eps, eps), 0, 1)
 
-    adv = generate(
-        model, x0, 0,
-        AttackSpec(AttackKind.MIM, eps, step_size=alpha, iterations=2, momentum=mu),
-    )
+    adv = generate(model, x0, 0, AttackSpec(AttackKind.MIM, eps, iterations=2))
     assert np.allclose(adv, x2, atol=1e-12)
 
 
 def test_mim_skips_normalization_for_zero_gradient():
     model = LinearToyModel([[0.0, 0.0]])
     image = np.array([[0.5, 0.5]])
-    adv = generate(
-        model, image, 0,
-        AttackSpec(AttackKind.MIM, 0.2, step_size=0.05, iterations=4, momentum=1.0),
-    )
+    adv = generate(model, image, 0, AttackSpec(AttackKind.MIM, 0.2, iterations=4))
     assert np.array_equal(adv, image)
+
+
+def reference_attack(model, images, labels, kind, eps, iterations):
+    """PGD or MIM written out with alpha = eps * STEP_RATIO and mu = MOMENTUM, one image norm at a time."""
+    alpha, x, g = eps * STEP_RATIO, images, np.zeros_like(images)
+    for _ in range(iterations):
+        grad = model.input_gradient(x, labels)
+        if kind == AttackKind.MIM:
+            for i, image_grad in enumerate(grad):
+                l1 = np.sum(np.abs(image_grad))
+                g[i] = MOMENTUM * g[i] + (image_grad / l1 if l1 > 0 else 0.0)
+            grad = g
+        x = np.clip(images + np.clip(x + alpha * np.sign(grad) - images, -eps, eps), 0.0, 1.0)
+    return x
+
+
+def test_pgd_and_mim_equal_a_reference_loop_with_the_module_constants():
+    rng = np.random.default_rng(16)
+    images = rng.random((4, 8, 8))
+    images[:, ::3] = np.round(images[:, ::3])  # exact 0/1 pixels beside grey ones
+    labels = rng.integers(0, 10, size=4)
+    for model in [make_qunn_model(kind, seed=16) for kind in AnsatzKind] + [make_cnn_model(seed=16)]:
+        for eps in (0.0, 0.05, 0.1, 0.2):
+            for kind in (AttackKind.PGD, AttackKind.MIM):
+                spec = make_spec(kind, eps, iterations=4)
+                expected = reference_attack(model, images, labels, kind, eps, 4)
+                assert generate(model, images, labels, spec).tobytes() == expected.tobytes()
+            # one normalised gradient has the sign of the gradient, so one mim step is one pgd step
+            one_pgd = generate(model, images, labels, make_spec(AttackKind.PGD, eps, iterations=1))
+            one_mim = generate(model, images, labels, make_spec(AttackKind.MIM, eps, iterations=1))
+            assert one_mim.tobytes() == one_pgd.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +282,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         AttackSpec(AttackKind.PGD, 0.1)
     with pytest.raises(ValueError):
-        AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=0, momentum=1.0)
-    with pytest.raises(ValueError):
-        AttackSpec(AttackKind.MIM, 0.1, step_size=0.02, iterations=3)
+        AttackSpec(AttackKind.MIM, 0.1, iterations=0)
     for iterations in (2.5, np.nan, True, 3.0, np.float64(3.0)):
         with pytest.raises(ValueError, match="iterations must be an integer"):
-            AttackSpec(AttackKind.PGD, 0.1, step_size=0.02, iterations=iterations)
+            AttackSpec(AttackKind.PGD, 0.1, iterations=iterations)
+    for iterations in (1, 10, np.int64(3)):
+        with pytest.raises(ValueError, match="fgsm takes one step"):
+            AttackSpec(AttackKind.FGSM, 0.1, iterations=iterations)
+        assert make_spec(AttackKind.FGSM, 0.1, iterations=iterations) == AttackSpec(AttackKind.FGSM, 0.1)
+    for epsilon in (True, False, np.bool_(True), "0.1", None):
+        with pytest.raises(ValueError, match="epsilon must be a non-negative number"):
+            AttackSpec(AttackKind.FGSM, epsilon)
 
 
 def test_numpy_integer_iterations_are_stored_as_int_and_round_trip(tmp_path):
@@ -293,12 +305,22 @@ def test_numpy_integer_iterations_are_stored_as_int_and_round_trip(tmp_path):
     assert load_batch(path).spec == spec
 
 
-@pytest.mark.parametrize("field", ["epsilon", "step_size", "momentum"])
-def test_spec_rejects_a_nan_field(field):
-    fields = dict(kind=AttackKind.MIM, epsilon=0.1, step_size=0.02, iterations=3, momentum=1.0)
-    AttackSpec(**{**fields, field: np.inf})  # an infinity is allowed
-    with pytest.raises(ValueError, match="non-negative"):
-        AttackSpec(**{**fields, field: np.nan})
+@pytest.mark.parametrize("kind", AttackKind.ALL)
+def test_numpy_float_epsilon_is_stored_as_float_and_round_trips(tmp_path, kind):
+    spec = make_spec(kind, np.float32(0.1))
+    assert type(spec.epsilon) is float and spec.epsilon == float(np.float32(0.1))
+    images = np.random.default_rng(15).random((2, 8, 8))
+    batch = make_batch(make_cnn_model(seed=15), images, np.array([3, 4]), spec)
+    path = tmp_path / "batch.advb"
+    save_batch(path, batch)
+    assert load_batch(path).spec == spec
+
+
+def test_spec_rejects_a_nan_epsilon():
+    for kind in AttackKind.ALL:
+        make_spec(kind, np.inf)  # an infinity is allowed
+        with pytest.raises(ValueError, match="non-negative"):
+            make_spec(kind, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +488,16 @@ def test_batch_round_trip(tmp_path):
     assert loaded.source_fingerprint == model.fingerprint
     assert np.array_equal(loaded.originals, batch.originals)
     assert np.array_equal(loaded.adversarials, batch.adversarials)
+
+
+def test_load_batch_rejects_a_spec_with_step_size_and_momentum(tmp_path):
+    """A batch file written when the spec also held its step size and decay."""
+    images = np.full((2, 4, 4), 0.5)
+    spec = {"kind": "mim", "epsilon": 0.1, "step_size": 0.025, "iterations": 10, "momentum": 1.0}
+    path = tmp_path / "old.advb"
+    container.save(path, "adversarial_batch", {"spec": spec, "source_fingerprint": "fp"}, originals=images, adversarials=images)
+    with pytest.raises(ValueError, match=re.escape(f"adversarial batch {path}")):
+        load_batch(path)
 
 
 def test_batch_rejects_truncated_file(tmp_path):

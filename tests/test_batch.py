@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from quanvrob.ansatz import AnsatzKind
 from quanvrob.attacks import (
+    MOMENTUM,
+    STEP_RATIO,
     AttackKind,
     AttackSpec,
     evaluate_robustness,
@@ -140,11 +142,12 @@ class AffineToyModel:
 
 
 def test_mim_normalizes_each_image_and_skips_a_vanished_gradient():
-    # two 1x2 images at 0.5, step 0.25, two steps.  Image 0's gradient on pixel 0
-    # is 1000, then exactly 0 once the pixel moved; image 1's is 1, then -3.
+    # two 1x2 images at 0.5, step 0.25 (eps 1), two steps.  Image 0's gradient on
+    # pixel 0 is 1000, then exactly 0 once the pixel moved; image 1's is 1, then -3.
+    assert 1.0 * STEP_RATIO == 0.25 and MOMENTUM == 1.0
     model = AffineToyModel(a=[[[3000.0, 0.0]], [[9.0, 0.0]]], b=[[[-4000.0, 0.0]], [[-16.0, 0.0]]])
     images = np.full((2, 1, 2), 0.5)
-    spec = AttackSpec(AttackKind.MIM, 0.5, step_size=0.25, iterations=2, momentum=1.0)
+    spec = AttackSpec(AttackKind.MIM, 1.0, iterations=2)
     adversarials = generate(model, images, np.array([0, 1]), spec)
     # image 0 keeps its momentum through the vanished gradient; image 1's two
     # normalized steps, +1 and -1, cancel.  A norm over the whole stack would

@@ -12,8 +12,6 @@ from quanvrob.classical import (
     adam_step,
     build_conv_layer,
     build_dense_head,
-    conv_forward,
-    conv_input_gradient,
     dense_forward,
     init_adam_state,
     load_checkpoint,
@@ -26,7 +24,7 @@ from quanvrob.models import Model
 from test_container import rewrite_header
 
 # ---------------------------------------------------------------------------
-# conv_forward
+# ConvExtractor.forward
 # ---------------------------------------------------------------------------
 
 
@@ -47,7 +45,7 @@ def oracle_conv(image, layer):
 
 def test_zero_image_zero_bias():
     layer = build_conv_layer(seed=0)
-    assert np.array_equal(conv_forward(np.zeros((28, 28)), layer), np.zeros((14, 14, 4)))
+    assert np.array_equal(ConvExtractor(layer).forward(np.zeros((28, 28))), np.zeros((14, 14, 4)))
 
 
 def test_identity_like_kernel_picks_top_left_pixel():
@@ -56,7 +54,7 @@ def test_identity_like_kernel_picks_top_left_pixel():
     layer = ConvLayer(kernels=kernels, bias=np.zeros(4), seed=0)
     rng = np.random.default_rng(1)
     image = rng.random((8, 8))
-    out = conv_forward(image, layer)
+    out = ConvExtractor(layer).forward(image)
     assert np.allclose(out[:, :, 0], image[::2, ::2])
     assert np.array_equal(out[:, :, 1:], np.zeros((4, 4, 3)))
 
@@ -66,59 +64,57 @@ def test_conv_matches_loop_oracle():
     for seed in range(5):
         layer = build_conv_layer(seed=seed)
         image = rng.random((12, 12))
-        assert np.allclose(conv_forward(image, layer), oracle_conv(image, layer), atol=1e-12)
+        assert np.allclose(ConvExtractor(layer).forward(image), oracle_conv(image, layer), atol=1e-12)
 
 
 def test_conv_rejects_odd_shapes():
     with pytest.raises(ValueError):
-        conv_forward(np.zeros((7, 8)), build_conv_layer(0))
+        ConvExtractor(build_conv_layer(0)).forward(np.zeros((7, 8)))
 
 
 # ---------------------------------------------------------------------------
-# conv_input_gradient
+# ConvExtractor.input_gradient
 # ---------------------------------------------------------------------------
 
 
 def test_zero_upstream():
-    layer = build_conv_layer(seed=3)
+    extractor = ConvExtractor(build_conv_layer(seed=3))
     image = np.random.default_rng(3).random((8, 8))
-    acts = conv_forward(image, layer)
-    grad = conv_input_gradient(layer, np.zeros_like(acts), acts)
+    grad = extractor.input_gradient(image, np.zeros((4, 4, 4)))
     assert np.array_equal(grad, np.zeros((8, 8)))
 
 
 def test_dead_relu_blocks_gradient():
     kernels = -np.ones((4, 2, 2))
-    layer = ConvLayer(kernels=kernels, bias=np.zeros(4), seed=0)
+    extractor = ConvExtractor(ConvLayer(kernels=kernels, bias=np.zeros(4), seed=0))
     image = 0.1 + 0.8 * np.random.default_rng(4).random((8, 8))
-    acts = conv_forward(image, layer)
+    acts = extractor.forward(image)
     assert np.array_equal(acts, np.zeros_like(acts))
-    grad = conv_input_gradient(layer, np.ones_like(acts), acts)
+    grad = extractor.input_gradient(image, np.ones_like(acts))
     assert np.array_equal(grad, np.zeros((8, 8)))
 
 
 def test_conv_gradient_matches_finite_difference():
     rng = np.random.default_rng(5)
-    layer = build_conv_layer(seed=5)
+    extractor = ConvExtractor(build_conv_layer(seed=5))
     image = rng.random((8, 8))
     upstream = rng.normal(size=(4, 4, 4))
-    grad = conv_input_gradient(layer, upstream, conv_forward(image, layer))
+    grad = extractor.input_gradient(image, upstream)
     h = 1e-6
     for _ in range(20):
         i, j = rng.integers(8), rng.integers(8)
         bumped = image.copy()
         bumped[i, j] += h
-        plus = np.sum(upstream * conv_forward(bumped, layer))
+        plus = np.sum(upstream * extractor.forward(bumped))
         bumped[i, j] -= 2 * h
-        minus = np.sum(upstream * conv_forward(bumped, layer))
+        minus = np.sum(upstream * extractor.forward(bumped))
         assert grad[i, j] == pytest.approx((plus - minus) / (2 * h), abs=1e-6)
 
 
 def test_conv_gradient_rejects_shape_mismatch():
-    layer = build_conv_layer(seed=0)
-    acts = conv_forward(np.zeros((8, 8)), layer)
+    extractor = ConvExtractor(build_conv_layer(seed=0))
     with pytest.raises(ValueError):
-        conv_input_gradient(layer, np.zeros((2, 2, 4)), acts)
+        extractor.input_gradient(np.zeros((8, 8)), np.zeros((2, 2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +288,12 @@ def test_adam_rejects_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def test_conv_extractor_gradient_matches_direct_call():
-    rng = np.random.default_rng(9)
-    extractor = ConvExtractor(build_conv_layer(seed=9))
-    image = rng.random((8, 8))
-    upstream = rng.normal(size=(4, 4, 4))
-    direct = conv_input_gradient(extractor.layer, upstream, conv_forward(image, extractor.layer))
-    assert np.array_equal(extractor.input_gradient(image, upstream), direct)
-
-
 def test_conv_warm_calls_are_bitwise_cold_calls():
     rng = np.random.default_rng(35)
     layer = ConvLayer(kernels=rng.uniform(-1, 1, (4, 2, 2)), bias=rng.normal(size=4), seed=0)
     for shape in ((4, 6), (5, 4, 6)):
         image = rng.random(shape) * 2 - 0.5
-        upstream = rng.normal(size=conv_forward(image, layer).shape)
+        upstream = rng.normal(size=ConvExtractor(layer).forward(image).shape)
         warm = ConvExtractor(layer)
         fmap = warm.forward(image)
         assert np.array_equal(warm.forward(image), fmap)

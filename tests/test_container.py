@@ -56,7 +56,7 @@ def small_file(kind, path, seed, n, h, w):
     elif kind == "adversarial_batch":
         originals = rng.random((n, h, w))
         adversarials = np.clip(originals + 0.1 * rng.choice([-1.0, 0.0, 1.0], size=originals.shape), 0.0, 1.0)
-        spec = AttackSpec(AttackKind.PGD, 0.1, step_size=0.025 * (seed + 1), iterations=n)
+        spec = AttackSpec(AttackKind.PGD, 0.1 + seed, iterations=n)
         save_batch(path, AdversarialBatch(originals, adversarials, "f" * 64, spec))
         written = (spec, "f" * 64, originals, adversarials)
 
@@ -193,10 +193,40 @@ def test_a_header_json_cannot_hold_leaves_the_old_file(tmp_path):
     path = tmp_path / "file"
     small_file("checkpoint", path, 1, 2, 2, 2)
     before = path.read_bytes()
-    header = {"model_kind": "cnn", "extractor_seed": np.float32(2), "extractor_fingerprint": "f" * 64}
+    # the spec field is a dict, as its type requires, but one of its values is a numpy scalar
+    header = {"spec": {"kind": "fgsm", "epsilon": np.float32(0.1), "iterations": None}, "source_fingerprint": "f" * 64}
     with pytest.raises(TypeError, match="not JSON serializable"):
-        container.save(path, "checkpoint", header, weights=np.zeros((10, 4)), bias=np.zeros(10))
+        container.save(path, "adversarial_batch", header, originals=np.zeros((1, 2, 2)), adversarials=np.zeros((1, 2, 2)))
     assert path.read_bytes() == before
+
+
+# per kind, each header field and values of the wrong type for it
+BAD_FIELDS = {
+    "checkpoint": {
+        "model_kind": [5, None, ["cnn"]],
+        "extractor_seed": ["x", True, 2.5, None],
+        "extractor_fingerprint": [None, 7, ["f"]],
+    },
+    "adversarial_batch": {"spec": ["x", None, [1, 2]], "source_fingerprint": [None, 3.0, {"a": 1}]},
+    "feature_cache": {"fingerprint": [None, 0, False]},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_header_field_of_the_wrong_type_is_rejected_on_save_and_load(tmp_path, kind):
+    path = tmp_path / "file"
+    _, read = small_file(kind, path, 1, 2, 2, 2)
+    header, arrays = container.load(path, kind)
+    fields = {name: header[name] for name in container.KINDS[kind][0]}
+    for name, values in BAD_FIELDS[kind].items():
+        for value in values:
+            with pytest.raises(ValueError, match=f"header field '{name}'"):
+                container.save(tmp_path / "new", kind, {**fields, name: value}, **arrays)
+            assert not (tmp_path / "new").exists()
+            small_file(kind, path, 1, 2, 2, 2)
+            rewrite_header(path, lambda h: h.update({name: value}))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read()
 
 
 def test_missing_file_is_not_a_value_error(tmp_path):

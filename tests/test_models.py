@@ -103,6 +103,23 @@ def test_accuracy_bounds_and_empty_rejection():
         accuracy(model, np.zeros((0, 8, 8)), np.zeros(0))
 
 
+@pytest.mark.parametrize("labels", [[1.5, 2.0], [np.nan, 3], [11, 12], [-1, 3], [True, False]], ids=str)
+def test_stack_evaluations_reject_labels_the_gradient_rejects(labels):
+    model = make_cnn_model(seed=5)
+    images = np.random.default_rng(5).random((2, 8, 8))
+    labels = np.array(labels)
+    spec = make_spec("fgsm", 0.1)
+    for call in (
+        lambda: model.loss_and_input_gradient(images, labels),
+        lambda: accuracy(model, images, labels),
+        lambda: evaluate_robustness(model, images, labels, [make_spec("fgsm", 0.0)]),
+        lambda: transfer_attack(model, model, images, labels, spec),
+        lambda: make_batch(model, images, labels, spec),
+    ):
+        with pytest.raises(ValueError, match="labels must be integers in 0..9"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Gradient memo
 # ---------------------------------------------------------------------------
@@ -166,7 +183,7 @@ def test_memo_hit_is_bitwise_a_cold_call(case):
 def test_pgd_at_zero_epsilon_reaches_the_extractor_gradient_once():
     model = counted(make_qunn_model(seed=22))
     image = np.random.default_rng(22).random((2, 8, 8))
-    adversarial = generate(model, image, np.array([3, 5]), AttackSpec("pgd", 0.0, step_size=0.0, iterations=5))
+    adversarial = generate(model, image, np.array([3, 5]), AttackSpec("pgd", 0.0, iterations=5))
     assert np.array_equal(adversarial, image)
     assert model.extractor.gradients == 1
 
