@@ -44,6 +44,11 @@ class Ansatz:
     gates: tuple[Gate, ...]
     seed: int
 
+    def __post_init__(self) -> None:
+        for gate in self.gates:
+            if max(gate.targets) >= self.n_qubits:
+                raise ValueError(f"gate targets {gate.targets} out of range for {self.n_qubits} qubits")
+
     def fingerprint(self) -> str:
         return hashlib.sha256(to_text(self).encode()).hexdigest()
 

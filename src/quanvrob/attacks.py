@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import container
-from .models import accuracy, as_stack
+from .models import _accuracy, as_stack
 
 STEP_RATIO = 0.25  # the pgd and mim step size as a fraction of epsilon
 MOMENTUM = 1.0  # the mim decay factor
@@ -166,14 +166,14 @@ def evaluate_robustness(model, images, labels, specs) -> RobustnessCurve:
         model_kind=model.kind,
         model_fingerprint=model.fingerprint,
         attack_kind=kind,
-        points=tuple((s.epsilon, accuracy(model, adv, labels)) for s, adv in zip(specs, adversarials)),
+        points=tuple((s.epsilon, _accuracy(model, adv, labels)) for s, adv in zip(specs, adversarials)),
     )
 
 
 def transfer_attack(source_model, target_model, images, labels, spec: AttackSpec) -> float:
     """Accuracy of the target on examples crafted against the source."""
     images, labels = as_stack(images, labels, "evaluate a transfer attack")
-    return accuracy(target_model, generate(source_model, images, labels, spec), labels)
+    return _accuracy(target_model, generate(source_model, images, labels, spec), labels)
 
 
 # ---------------------------------------------------------------------------

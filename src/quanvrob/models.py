@@ -155,7 +155,11 @@ def as_stack(images, labels, what: str):
 
 def accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of an (N, H, W) stack that the model labels correctly."""
-    images, labels = as_stack(images, labels, "score accuracy")
+    return _accuracy(model, *as_stack(images, labels, "score accuracy"))
+
+
+def _accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
+    """``accuracy`` of a stack and labels that ``as_stack`` has already checked."""
     hits = sum(
         int(np.count_nonzero(model.predict_label(images[s : s + BLOCK]) == labels[s : s + BLOCK]))
         for s in range(0, len(images), BLOCK)

@@ -1,4 +1,10 @@
-"""Dense statevector simulation for small qubit registers.
+"""Gates of the filter circuits, and dense statevector simulation for small qubit registers.
+
+The gates (``Gate`` and its constructors) are what ``quanvrob.ansatz``
+builds and ``quanvrob.quanv`` compiles.  The statevector half (``StateVector``,
+``init_zero``, ``apply_gate``, ``run_program``, ``measure_z``) is on no
+runtime path: it serves only as an oracle, for the tests and for the
+benchmark's correctness gate.
 
 Basis ordering is big-endian: qubit 0 occupies the most significant bit of
 the amplitude index, so the basis state |q0 q1 ... q_{n-1}> lives at index
@@ -15,6 +21,7 @@ exp(+i*phi) where they differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -73,6 +80,8 @@ class Gate:
             raise ValueError(f"gate targets must be distinct, got {self.targets}")
         if any(t < 0 for t in self.targets):
             raise ValueError(f"gate targets must be non-negative, got {self.targets}")
+        if not all(map(math.isfinite, self.angles)):
+            raise ValueError(f"gate angles must be finite, got {self.angles}")
 
 
 def rx(target: int, theta: float) -> Gate:

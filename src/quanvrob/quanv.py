@@ -19,15 +19,21 @@ arXiv:2008.08605)
 
 Strings holding Y drop out because <Y> = 0 on every encoded qubit.  The
 table ``QuanvExtractor.table`` holds c with shape (3, 3, 3, 3, 4): axis q is
-qubit q's Pauli in the order (I, X, Z), the last axis is the channel k.  The
-gate-level simulator ``qsim`` only builds the 16x16 unitary U for the
-compiler; no complex number is touched after that.
+qubit q's Pauli in the order (I, X, Z), the last axis is the channel k.
 
-Snap floor.  Building U and tracing it against the strings leaves rounding
-residue, at most 2.5e-16 over seeds 0-59 of the five layouts, where an entry
-is exactly zero; their smallest real entry is 4.1e-4.  Entries no larger
-than ``SNAP`` = 64 machine epsilons (1.4e-14) are set to exactly 0 in the
-table, so a derivative that vanishes by structure comes out as exactly 0.
+Compile.  The table comes from Z_k by Heisenberg propagation (Bermejo et al.
+2024, arXiv:2408.12739), in real Pauli coefficients.  Every gate is a
+sequence of Pauli rotations exp(-i theta S / 2): ROT(alpha, beta, gamma)
+meets the state as Rz(gamma), then Ry(beta), then Rz(alpha), and ZZ(phi) is
+S = Z x Z with theta = 2 phi.  Walking the rotations last-first, a string P
+that commutes with S is kept and one that anticommutes becomes
+cos(theta) P - i sin(theta) P S, where -i P S is +-1 times a string; the
+strings holding Y are sliced away at the end.  A string onto which no
+rotation moves weight keeps the coefficient 0 exactly, so the zeros are
+exact by structure, with no rounding residue to clear.  Every layout ends in
+its ZZ gates, which commute with every Z_k, so ``zz_full``, ``zz_linear`` and
+``zz_star`` compile to the table of ``no_ent`` for the same seed, bit for
+bit.  No complex number and no simulation is used.
 
 Term list.  The derivative in theta_q swaps qubit q's factor for
 r'(theta) = (0, cos theta, -sin theta), so it is the table D_q whose qubit-q
@@ -125,51 +131,46 @@ import numpy as np
 from . import container
 from .ansatz import Ansatz
 from .patches import planes
-from .qsim import StateVector, run_program
+from .qsim import GateKind
 
 N_QUBITS = 4
-SNAP = 64 * np.finfo(float).eps  # table entries at most this large are rounding residue
 
 # (key, encoding) of the last stack encoded, see "Encoding memo"; replaced whole, never mutated
 _memo: tuple | None = None
 
-# I, X and Z: the Pauli matrices whose expectation on Ry(theta)|0> is
-# 1, sin(theta) and cos(theta), in the table's axis order
-_PAULIS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+# Pauli indices by bits, x then z: I, X, Z, Y = 0, 1, 2, 3, so that P_a P_b is
+# i^_PHASE[a, b] times P_(a ^ b) and the table's (I, X, Z) axes are [:3]
+_X, _Z, _Y = 1, 2, 3
+_PHASE = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
+# per gate kind, the Pauli of each angle's rotation on every target, in angle
+# order: ROT(alpha, beta, gamma) = Rz(alpha) Ry(beta) Rz(gamma), walked last-first
+_AXES = {GateKind.RX: (_X,), GateKind.RY: (_Y,), GateKind.RZ: (_Z,), GateKind.ROT: (_Z, _Y, _Z), GateKind.ZZ: (_Z,)}
 # r'(theta) = (0, cos theta, -sin theta) = _DR @ r(theta)
 _DR = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
-def _ansatz_unitary(ansatz: Ansatz) -> np.ndarray:
-    """Dense matrix of the filter circuit, column j = program applied to |j>."""
-    dim = 2**ansatz.n_qubits
-    unitary = np.empty((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[j] = 1.0
-        unitary[:, j] = run_program(StateVector(ansatz.n_qubits, amps), ansatz.gates).amps
-    return unitary
+def _conjugate(obs: np.ndarray, s: tuple[int, ...], theta: float) -> np.ndarray:
+    """U^dag O U for U = exp(-i theta S / 2), O given by its Pauli coefficients (4, 4, 4, 4, channel)."""
+    # P_a S = i^e P_(a ^ s): the strings with odd e anticommute with S and become
+    # cos(theta) P_a - i sin(theta) P_a S, where -i P_a S = (2 - e) P_(a ^ s)
+    e = sum(np.ix_(*(_PHASE[:, q] for q in s))) % 4
+    moved = ((2 - e)[..., None] * obs)[np.ix_(*(np.arange(4) ^ q for q in s))]
+    return np.where((e % 2 == 1)[..., None], np.cos(theta) * obs + np.sin(theta) * moved, obs)
 
 
-def _pauli_table(unitary: np.ndarray) -> np.ndarray:
+def _pauli_table(ansatz: Ansatz) -> np.ndarray:
     """Coefficients c[s0, s1, s2, s3, k] of U^dag Z_k U on the I, X, Z strings."""
-    bits = np.arange(2**N_QUBITS) >> (N_QUBITS - 1 - np.arange(N_QUBITS)[:, None])
-    z_signs = 1.0 - 2.0 * (bits & 1)  # (k, basis index), qubit 0 most significant
-    # U^dag Z_k U is Hermitian, so its imaginary part is antisymmetric and
-    # vanishes against the real symmetric I, X, Z strings
-    heisenberg = np.einsum("ai,ka,aj->kij", unitary.conj(), z_signs, unitary).real
-    heisenberg = heisenberg.reshape((N_QUBITS,) + (2,) * (2 * N_QUBITS))
-    # Tr(P O) = sum_ij P[i, j] O[i, j] for symmetric P; i..l and m..p are the
-    # row and column bits of qubits 0..3, a..d their Pauli and x the channel
-    table = np.einsum(
-        "aim,bjn,cko,dlp,xijklmnop->abcdx",
-        _PAULIS, _PAULIS, _PAULIS, _PAULIS, heisenberg,
-        optimize=True,
-    )
-    table /= 2**N_QUBITS
-    table[np.abs(table) <= SNAP] = 0.0
-    table[0, 0, 0, 0] = 0.0  # U^dag Z_k U is traceless: the all-I string is rounding residue
-    return table
+    obs = np.zeros((4,) * N_QUBITS + (N_QUBITS,))
+    for k in range(N_QUBITS):
+        obs[(0,) * k + (_Z,) + (0,) * (N_QUBITS - 1 - k) + (k,)] = 1.0
+    for gate in reversed(ansatz.gates):
+        for pauli, angle in zip(_AXES[gate.kind], gate.angles):
+            s = tuple(pauli if q in gate.targets else 0 for q in range(N_QUBITS))
+            # ZZ(phi) = exp(-i phi Z x Z) is the rotation of theta = 2 phi
+            obs = _conjugate(obs, s, 2.0 * angle if gate.kind is GateKind.ZZ else angle)
+    # drop the strings holding Y, since <Y> = 0 on every encoded qubit; + 0.0 turns
+    # each -0.0 left by cos(theta) * 0 into 0.0, so that equal tables have equal bytes
+    return obs[(slice(3),) * N_QUBITS] + 0.0
 
 
 def clear_memo() -> None:
@@ -187,7 +188,7 @@ class QuanvExtractor:
         self.ansatz = ansatz
         self.kind = f"qunn_{ansatz.kind.value}"
         self.seed = ansatz.seed
-        self.table = _pauli_table(_ansatz_unitary(ansatz))
+        self.table = _pauli_table(ansatz)
         # D_q, shape (4, 3, 3, 3, 3, 4): qubit q's factor r swapped for r'
         derivs = np.stack([np.moveaxis(np.tensordot(_DR, self.table, (0, q)), 0, q) for q in range(N_QUBITS)])
         used = np.any(self.table != 0, axis=-1) | np.any(derivs != 0, axis=(0, -1))

@@ -52,3 +52,18 @@ def test_every_library_definition_is_used_somewhere():
         if not any(p != path or not first <= line <= last for p, line in uses.get(name, ()))
     ]
     assert not unused, unused
+
+
+def test_only_qsim_holds_the_statevector_simulator():
+    """The statevector half of qsim is an oracle for tests and the benchmark's gate: no other library module imports it."""
+    simulator = {"StateVector", "init_zero", "apply_gate", "run_program", "measure_z"}
+    offenders = []
+    for path in sorted((PYPROJECT.parent / "src" / "quanvrob").glob("*.py")):
+        if path.stem == "qsim":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in simulator]
+            elif isinstance(node, ast.Attribute) and node.attr in simulator:
+                offenders.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert not offenders, offenders

@@ -169,6 +169,11 @@ def test_gate_validation():
         Gate(GateKind.ROT, (0,), (0.1, 0.2))
     with pytest.raises(ValueError):
         Gate(GateKind.RX, (0, 1), (0.1,))
+    for angles in [(np.nan, 0.2, 0.3), (0.1, np.inf, 0.3), (0.1, 0.2, -np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            rot(0, *angles)
+    with pytest.raises(ValueError, match="finite"):
+        rx(0, np.inf)
 
 
 # ---------------------------------------------------------------------------

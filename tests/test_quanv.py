@@ -651,28 +651,76 @@ def test_table_channel_reads_only_its_own_pixel(kind):
             assert pixel_support(extractor, k, tol=0.0) == {k}
 
 
-def test_circuit_read_only_through_y_compiles_to_no_terms():
-    """Rx(pi/2) turns every Z_k into -Y_k, which no encoded qubit reads: no strings, zero features and gradient."""
+@pytest.mark.parametrize("gate", [qsim.ry(5, 0.3), qsim.zz(0, 7, 0.3), qsim.ry(4, 0.3)], ids=["ry", "zz", "ry_at_n"])
+def test_a_gate_target_past_the_register_is_rejected(gate):
+    """The compiler reads only the targets below N_QUBITS, so an out-of-range gate must fail before it."""
+    with pytest.raises(ValueError, match="out of range"):
+        QuanvExtractor(Ansatz(AnsatzKind.RANDOM, 4, (qsim.ry(0, 0.1), gate), seed=0))
+
+
+def test_circuit_read_through_y_keeps_the_cosine_of_its_float_angle():
+    """Rx(pi/2) turns Z_k into cos(pi/2) Z_k + sin(pi/2) Y_k, and cos(fl(pi/2)) = 6.1e-17 is no residue.
+
+    The table holds exactly that coefficient on Z_k, and the features and the gradient match the oracle.
+    """
     ansatz = Ansatz(AnsatzKind.NO_ENT, 4, tuple(qsim.rx(q, np.pi / 2) for q in range(4)), seed=0)
     extractor = QuanvExtractor(ansatz)
-    assert not np.any(extractor.table)
-    assert extractor.terms.shape == (0, 4)
-    assert extractor.support == (frozenset(),) * 4
-    image = random_image(np.random.default_rng(16), (4, 4))
-    assert np.array_equal(extractor.forward(image), np.zeros((2, 2, 4)))
-    assert np.array_equal(extractor.input_gradient(image, np.ones((2, 2, 4))), np.zeros((4, 4)))
-    assert np.max(np.abs(oracle_feature_map(image, ansatz))) <= 1e-12
+    expected = np.zeros((3, 3, 3, 3, 4))
+    for k in range(4):
+        expected[(0,) * k + (2,) + (0,) * (3 - k) + (k,)] = np.cos(np.pi / 2)
+    assert np.cos(np.pi / 2) != 0.0
+    assert extractor.table.tobytes() == expected.tobytes()
+    assert extractor.support == tuple(frozenset({k}) for k in range(4))
+    rng = np.random.default_rng(16)
+    image, upstream = random_image(rng, (4, 4)), rng.normal(size=(2, 2, 4))
+    assert np.max(np.abs(extractor.forward(image) - oracle_feature_map(image, ansatz))) <= 1e-12
+    grad = extractor.input_gradient(image, upstream)
+    assert np.max(np.abs(grad - oracle_input_gradient(image, ansatz, upstream))) <= 1e-12
+
+
+# I, X and Z: the Pauli matrices whose expectation on Ry(theta)|0> is 1, sin(theta) and cos(theta)
+_PAULIS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+
+
+def oracle_table(ansatz):
+    """c[s0, s1, s2, s3, k] = Tr(P_s U^dag Z_k U) / 16 by tracing the Kronecker-matrix U, with no snap to 0."""
+    unitary = oracle_unitary(ansatz.gates, 4)
+    # U^dag Z_k U is Hermitian, so its imaginary part is antisymmetric and
+    # vanishes against the real symmetric I, X, Z strings
+    heisenberg = np.einsum("ai,ka,aj->kij", unitary.conj(), _Z_SIGNS, unitary).real.reshape((4,) + (2,) * 8)
+    # Tr(P O) = sum_ij P[i, j] O[i, j] for symmetric P; i..l and m..p are the
+    # row and column bits of qubits 0..3, a..d their Pauli and x the channel
+    table = np.einsum("aim,bjn,cko,dlp,xijklmnop->abcdx", _PAULIS, _PAULIS, _PAULIS, _PAULIS, heisenberg, optimize=True)
+    return table / 16
+
+
+def test_table_matches_the_trace_of_the_oracle_unitary():
+    rng = np.random.default_rng(21)
+    ansatzes = [build_ansatz(kind, 4, seed) for kind in AnsatzKind for seed in range(6)]
+    ansatzes += [entangled_ansatz(rng.uniform(0, 2 * np.pi, 30)) for _ in range(10)]
+    for ansatz in ansatzes:
+        assert np.max(np.abs(QuanvExtractor(ansatz).table - oracle_table(ansatz))) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [AnsatzKind.ZZ_FULL, AnsatzKind.ZZ_LINEAR, AnsatzKind.ZZ_STAR])
+def test_zz_layouts_compile_to_the_no_ent_table_bit_for_bit(kind):
+    """The ZZ block comes last and commutes with every Z_k, so it leaves the rotations' table as it is."""
+    for seed in range(6):
+        table = QuanvExtractor(build_ansatz(kind, 4, seed)).table
+        assert table.tobytes() == QuanvExtractor(build_ansatz(AnsatzKind.NO_ENT, 4, seed)).table.tobytes()
 
 
 def test_no_simulation_after_compile(monkeypatch):
+    """Neither building the extractor nor using it runs the statevector simulator."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the statevector simulator was called")
+
+    for name in ("apply_gate", "run_program"):
+        monkeypatch.setattr(qsim, name, refuse)
     rng = np.random.default_rng(14)
     extractor = QuanvExtractor(build_ansatz(AnsatzKind.RANDOM, 4, seed=14))
     assert extractor.table.dtype == np.float64
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("qsim.apply_gate called after compile")
-
-    monkeypatch.setattr(qsim, "apply_gate", refuse)
     image = random_image(rng, (6, 6))
     extractor.forward(image)
     extractor.input_gradient(image, rng.normal(size=(3, 3, 4)))
