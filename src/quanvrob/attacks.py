@@ -86,12 +86,12 @@ def make_spec(kind: str, epsilon: float, iterations: int = 10) -> AttackSpec:
 
 
 def _project(x: np.ndarray, origin: np.ndarray, epsilon: float) -> np.ndarray:
-    """clip(origin + clip(x - origin, -eps, eps), 0, 1), in one new buffer."""
+    """clip(origin + clip(x - origin, -eps, eps), 0, 1), written into ``x`` and returned."""
     # np.clip, not np.maximum/np.minimum: clip keeps a -0.0 where maximum(-0.0, 0.0) gives +0.0
-    out = np.subtract(x, origin)
-    np.clip(out, -epsilon, epsilon, out=out)
-    out += origin
-    return np.clip(out, 0.0, 1.0, out=out)
+    np.subtract(x, origin, out=x)
+    np.clip(x, -epsilon, epsilon, out=x)
+    x += origin
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def _check_pixels(images: np.ndarray, what: str = "attacked") -> None:
@@ -115,7 +115,11 @@ def generate(model, image: np.ndarray, label, spec: AttackSpec) -> np.ndarray:
             # a vanished gradient contributes nothing this step
             normalized = np.divide(direction, l1, out=np.zeros_like(direction), where=l1 > 0)
             direction = g = MOMENTUM * g + normalized
-        x = _project(x + alpha * np.sign(direction), image, spec.epsilon)
+        # x + alpha * sign(direction), built in the one new buffer that becomes the next x
+        step = np.sign(direction)
+        step *= alpha
+        step += x
+        x = _project(step, image, spec.epsilon)
     return x
 
 

@@ -11,28 +11,37 @@ stack, so the same (model, stack, labels) gradient is asked for again and
 again: an FGSM curve, a transfer matrix that crafts once per target and an
 adversarial batch all start there, and so do every PGD or MIM iteration at
 epsilon 0 and the first iteration at every other epsilon.  A ``Model``
-keeps the last pixels and labels of ``loss_and_input_gradient`` with the loss
-and gradient it computed for them, and a repeated call returns copies of
-that answer without calling the extractor or the head.  The key is the
-float64 pixels' shape and bytes, the labels' shape, dtype and bytes and the
-bytes of the head's weights and bias, and the entry must also hold the
-model's current extractor and head (``is``).  So pixels, labels or head
-weights changed in place, or a head or extractor replaced, are computed
-again; the extractor is frozen, so its own arrays are not in the key.  Keys
-are bytes, not identity, as in the quanv encoding memo, which holds only
-the last stack encoded and leaves repeated gradients to this memo.  The
-head's bytes cost a copy of its weights per call; read-only head arrays
-would not, but a view taken before would still write into them.  An entry
-holds about two stacks of pixels (the key and the gradient) and one head.
-An entry is stored only after every check passed, so it holds integer
-labels, whose bytes are their values, and a call that raises never enters
-the memo.  The memo holds copies and hands out fresh ones, so a caller
-writing into its result cannot change the next answer.  It is one tuple
-that a call reads once and replaces whole, so a concurrent caller can only
-miss.  One entry serves the repeats above, which come
-back to back; PGD and MIM at epsilon > 0 step away from the clean stack,
-so their first gradient at the next epsilon recomputes it.  ``loss`` and
-the predictions are not memoised.
+keeps two entries of ``loss_and_input_gradient``, each the pixels and
+labels of a call with the loss and gradient computed for them: the last
+gradient it computed and the last one it served from the memo.  A call that
+matches either entry returns copies of its answer without calling the
+extractor or the head, and that entry becomes the served one; a call that
+matches neither computes, and its answer becomes the computed entry.
+Every hit in a grid is at an attack's starting stack, and a PGD or MIM curve
+computes its I - 1 new iterates per epsilon between those starts, so the
+served entry keeps the clean stack across the curve's epsilons and into the
+next curve: on the benchmark's PGD-then-MIM grid over epsilons (0, a, b)
+the extractor's gradient is reached 4 I - 3 times per model and stack, once
+for the clean stack and 4 (I - 1) times for the iterates, and MIM at
+epsilon 0 is served whole.  A plain LRU of two entries would not keep it:
+the iterates, each asked for once, would push the clean stack out of it
+within two steps.  The key is the float64 pixels' shape and bytes, the
+labels' shape, dtype and bytes and the bytes of the head's weights and
+bias, and an entry must also hold the model's current extractor and head
+(``is``).  So pixels, labels or head weights changed in place, or a head or
+extractor replaced, are computed again; the extractor is frozen, so its own
+arrays are not in the key.  Keys are bytes, not identity, as in the quanv
+encoding memo, which holds only the last stack encoded and leaves repeated
+gradients to this memo.  The head's bytes cost a copy of its weights per
+call; read-only head arrays would not, but a view taken before would still
+write into them.  An entry holds about two stacks of pixels (the key and
+the gradient) and one head, and the two entries are often one.  An entry
+is stored only after every check passed, so it holds integer labels, whose
+bytes are their values, and a call that raises never enters the memo.  The
+memo holds copies and hands out fresh ones, so a caller writing into its
+result cannot change the next answer.  It is one pair of entries that a
+call reads once and replaces whole, so a concurrent caller can only miss.
+``loss`` and the predictions are not memoised.
 """
 
 from __future__ import annotations
@@ -58,8 +67,10 @@ class FeatureExtractor(Protocol):
     ``input_gradient`` on the same pixels.  An extractor may reuse work
     between the two calls, as the quanv extractor reuses its encoding of
     the last stack, but must return the same bits as without it; the cnn
-    reuses nothing.  A model may answer a repeated gradient call from its
-    memo without calling the extractor at all (see "Gradient memo").
+    reuses nothing.  A model answers a gradient call that repeats the last
+    one it computed, or the last one it served, from its memo without
+    calling the extractor at all (see "Gradient memo"), so an extractor
+    sees each starting stack of a whitebox curve once.
     """
 
     kind: str
@@ -77,8 +88,9 @@ class FeatureExtractor(Protocol):
 class Model:
     extractor: FeatureExtractor
     head: DenseHead
-    # (extractor, head, key, loss, grad) of the last gradient call, see "Gradient memo"
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the (extractor, head, key, loss, grad) entries of the last gradient computed
+    # and the last one served, or None; see "Gradient memo"
+    _memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -109,8 +121,8 @@ class Model:
     def loss_and_input_gradient(self, image: np.ndarray, label):
         """Cross-entropy loss and its exact gradient w.r.t. the input pixels.
 
-        A repeat of the last call on this model is answered from its memo
-        (see "Gradient memo").
+        A repeat of the last gradient this model computed or served is
+        answered from its memo (see "Gradient memo").
         """
         image, labels = np.asarray(image, dtype=float), np.asarray(label)
         extractor, head = self.extractor, self.head
@@ -123,14 +135,16 @@ class Model:
             head.weights.tobytes(),
             head.bias.tobytes(),
         )
-        last = self._last
-        if last is not None and last[0] is extractor and last[1] is head and last[2] == key:
-            return _copies(last[3], last[4])
+        computed, served = self._memo
+        for entry in (computed, served):
+            if entry is not None and entry[0] is extractor and entry[1] is head and entry[2] == key:
+                self._memo = computed, entry
+                return _copies(entry[3], entry[4])
         fmap = extractor.forward(image)
         # the head's own gradients (dW, db) are not needed for the pixels
         loss, dlogits = cross_entropy(dense_forward(fmap, head), label)
         grad = extractor.input_gradient(image, feature_gradient(head, dlogits).reshape(fmap.shape))
-        self._last = (extractor, head, key, *_copies(loss, grad))
+        self._memo = (extractor, head, key, *_copies(loss, grad)), served
         return loss, grad
 
     def input_gradient(self, image: np.ndarray, label) -> np.ndarray:

@@ -22,6 +22,7 @@ exp(+i*phi) where they differ.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -64,7 +65,15 @@ class Gate:
     angles: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        # operator.index takes integer scalars and rejects floats, which int() would
+        # truncate; a Python bool is an int, so it is rejected by name
+        if any(isinstance(t, bool) for t in self.targets):
+            raise ValueError(f"gate targets must be integers, got {self.targets}")
+        try:
+            targets = tuple(operator.index(t) for t in self.targets)
+        except TypeError:
+            raise ValueError(f"gate targets must be integers, got {self.targets}") from None
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if len(self.targets) != _TARGET_COUNT[self.kind]:
             raise ValueError(

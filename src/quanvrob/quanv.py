@@ -107,10 +107,12 @@ the strings in ``terms``, and every layout compiles to the same 8 strings,
 so one memo in this module serves every extractor.  It holds the encoding of
 the last stack encoded, keyed by the extractor's term list, the float64
 image's shape and its bytes.  One entry is enough because the repeats come
-back to back: a model gradient repeated on the same stack does not reach the
-extractor at all, since ``models.Model`` answers it from its own gradient
-memo, and a second entry for the stack before last saves no encoding on the
-benchmark's workloads.  The entry is the image and feature-map shapes and F,
+back to back: a model gradient at the stack the model last computed or last
+served, such as an attack's clean starting stack, does not reach the
+extractor at all, since ``models.Model`` answers it from its own two-entry
+gradient memo, and a second entry for the stack before last saves no
+encoding on the benchmark's workloads.  The entry is the image and
+feature-map shapes and F,
 M * P * 8 bytes per image (12.5 KB for a 28x28 image at M = 8, 125 KB at
 M = 80), besides the key's copy of the pixels (6.1 KB).  A call on an equal key
 skips the range check, which only pixels that passed it enter, the tangents

@@ -164,7 +164,8 @@ def test_projected_full_step_is_a_clip():
     signs = rng.choice([-1.0, 0.0, 1.0], size=pixels.shape)
     for eps in EPS_GRID + list(np.linspace(0.001, 0.299, 16)):
         stepped = pixels + eps * signs
-        assert _project(stepped, pixels, eps).tobytes() == np.clip(stepped, 0.0, 1.0).tobytes()
+        # _project writes into its first argument
+        assert _project(stepped.copy(), pixels, eps).tobytes() == np.clip(stepped, 0.0, 1.0).tobytes()
 
 
 def test_pgd_zero_epsilon_is_identity():

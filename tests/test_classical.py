@@ -277,6 +277,22 @@ def test_two_steps_match_hand_trace():
     assert state.step == 2
 
 
+def test_integer_gradients_and_logits_act_as_their_floats():
+    # the head path must not narrow to the caller's dtype: integer inputs give float64 results
+    head = build_dense_head(seed=3, in_dim=4)
+    grads = (np.arange(-20, 20).reshape(10, 4), np.arange(-5, 5))
+    int_head, int_state = adam_step(head, init_adam_state(head), grads, lr=0.001)
+    float_head, float_state = adam_step(
+        head, init_adam_state(head), tuple(g.astype(float) for g in grads), lr=0.001
+    )
+    assert np.array_equal(int_head.weights, float_head.weights)
+    assert np.array_equal(int_head.bias, float_head.bias)
+    assert int_state.v_weights.dtype == np.float64
+    assert np.array_equal(int_state.v_weights, float_state.v_weights)
+    logits = np.arange(10)
+    assert np.array_equal(softmax(logits), softmax(logits.astype(float)))
+
+
 def test_adam_rejects_shape_mismatch():
     head = build_dense_head(seed=0, in_dim=4)
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quanvrob import classical, models
+from quanvrob import classical, models, quanv
 from quanvrob.ansatz import AnsatzKind, build_ansatz
 from quanvrob.attacks import AttackSpec, evaluate_robustness, generate, make_batch, make_spec, transfer_attack
 from quanvrob.classical import ConvExtractor, build_conv_layer, build_dense_head, dense_forward, loss_and_grads
@@ -188,6 +188,63 @@ def test_pgd_at_zero_epsilon_reaches_the_extractor_gradient_once():
     assert model.extractor.gradients == 1
 
 
+@pytest.mark.parametrize("family", ["qunn", "cnn"])
+def test_pgd_then_mim_curves_reach_the_extractor_gradient_4i_minus_3_times(family):
+    """The benchmark's whitebox pattern on one stack: PGD then MIM curves over epsilons (0, a, b).
+
+    The clean stack is computed once, by PGD's first gradient at 0.  Every
+    later gradient at it is served: PGD's other steps at 0 and its first
+    step at a from the computed entry, then, once a's iterates have
+    displaced that entry, its first step at b and all of MIM at 0, a and b
+    from the served one.  Only the I - 1 new iterates of the four curves at
+    a and b are computed: 1 + 4 (I - 1).
+    """
+    rng = np.random.default_rng(27)
+    images, labels = rng.random((3, 8, 8)), np.array([6, 1, 8])
+    model = counted(make_qunn_model(seed=27) if family == "qunn" else make_cnn_model(seed=27))
+    iterations = 4
+    for kind in ("pgd", "mim"):
+        evaluate_robustness(model, images, labels, [make_spec(kind, eps, iterations) for eps in (0.0, 0.1, 0.2)])
+    assert model.extractor.gradients == 4 * iterations - 3
+
+
+class RebuiltModel:
+    """A model that answers every gradient from a new ``Model`` on an empty quanv encoding memo."""
+
+    def __init__(self, model):
+        self.model = model
+        self.kind = model.kind
+        self.fingerprint = model.fingerprint
+
+    def input_gradient(self, image, label):
+        quanv.clear_memo()
+        return Model(self.model.extractor, self.model.head).input_gradient(image, label)
+
+    def predict_label(self, image):
+        quanv.clear_memo()
+        return self.model.predict_label(image)
+
+
+def test_a_whitebox_grid_through_the_memo_is_bitwise_a_cold_grid():
+    """PGD and MIM curves on the five layouts and the cnn, with pixels at 0 and 1 beside grey ones."""
+    rng = np.random.default_rng(28)
+    images = rng.random((3, 8, 8))
+    images[:, :2] = 0.0
+    images[:, -2:] = 1.0
+    images[1, 3, ::2] = 0.0
+    labels = np.array([5, 0, 2])
+    grid = [make_qunn_model(kind, seed=28) for kind in AnsatzKind] + [make_cnn_model(seed=28)]
+    for model in grid:
+        for kind in ("pgd", "mim"):
+            specs = [make_spec(kind, eps, iterations=3) for eps in (0.0, 0.1, 0.2)]
+            assert evaluate_robustness(model, images, labels, specs) == evaluate_robustness(
+                RebuiltModel(model), images, labels, specs
+            )
+            for spec in specs:
+                warm = generate(model, images, labels, spec)
+                assert warm.tobytes() == generate(RebuiltModel(model), images, labels, spec).tobytes()
+
+
 def test_one_sources_transfer_grid_reaches_its_gradient_once():
     """Its FGSM curve, its crafts against 6 targets and its batch all start from the clean stack."""
     rng = np.random.default_rng(23)
@@ -226,6 +283,14 @@ def test_memo_recomputes_after_any_input_changes_in_place():
         model.head = build_dense_head(26, in_dim=model.head.weights.shape[1])
         check()
         model.extractor = CountingExtractor(model.extractor.inner)
+        check()
+        check(recomputed=False)
+        # the served entry holds this stack; compute another, then change this one in place
+        other = 0.5 * image
+        other_label = (label + 3) % 10
+        model.loss_and_input_gradient(other, other_label)
+        check(recomputed=False)
+        image[..., 1, 0] = 1.0 - image[..., 1, 0]
         check()
         check(recomputed=False)
 

@@ -176,6 +176,18 @@ def test_gate_validation():
         rx(0, np.inf)
 
 
+def test_gate_targets_must_be_integers():
+    """A float target is rejected, not truncated, and so is a bool; numpy integers pass as ints."""
+    for make in (lambda: ry(1.5, 0.1), lambda: zz(0.9, 2.2, 0.1), lambda: rx(np.float64(1.0), 0.1)):
+        with pytest.raises(ValueError, match="targets must be integers"):
+            make()
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="targets must be integers"):
+            rz(flag, 0.1)
+    gate = zz(np.int64(0), np.uint8(3), 0.2)
+    assert gate.targets == (0, 3) and all(type(t) is int for t in gate.targets)
+
+
 # ---------------------------------------------------------------------------
 # measure_z
 # ---------------------------------------------------------------------------

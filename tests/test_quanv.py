@@ -535,15 +535,18 @@ def test_a_transfer_grid_takes_a_pinned_number_of_encodings(tangents, tmp_path):
 
 
 def test_a_whitebox_grid_takes_a_pinned_number_of_encodings(tangents):
-    """PGD then MIM curves over epsilons (0, a, b), in the benchmark's order: 4 I + 4 encodings per layout.
+    """PGD then MIM curves over epsilons (0, a, b), in the benchmark's order: 4 I + 2 encodings per layout.
 
-    Each attack at epsilon 0 encodes x for its first gradient; its step is
-    0, so its other steps are served by the model's gradient memo and its
-    score by the encoding memo: 1.  At a the first gradient at x is a hit
-    in the gradient memo, the I - 1 later ones each encode their iterate,
+    PGD at epsilon 0 encodes x for its first gradient; its step is 0, so its
+    other steps are served by the model's gradient memo and its score by the
+    encoding memo: 1.  At a the first gradient at x is served from the
+    memo's computed entry, the I - 1 later ones each encode their iterate,
     and the score encodes the adversarial: I.  At b the first gradient at x
-    misses, since the gradient memo holds a's last iterate: I + 1.  So
-    2 (1 + I + I + 1) per layout, and nothing for the cnn.
+    is served from the memo's served entry, which still holds x after a's
+    iterates displaced the computed one: I again.  MIM at 0 is served whole
+    by that entry, and only its score encodes x again, since the encoding
+    memo holds PGD's last adversarial: 1.  MIM at a and at b: I each, as for
+    PGD.  So 2 (1 + I + I) per layout, and nothing for the cnn.
     """
     grid = grid_models()
     rng = np.random.default_rng(40)
@@ -553,7 +556,7 @@ def test_a_whitebox_grid_takes_a_pinned_number_of_encodings(tangents):
     for model in grid:
         for kind in (AttackKind.PGD, AttackKind.MIM):
             evaluate_robustness(model, x, y, [make_spec(kind, eps, iterations=iterations) for eps in (0.0, 0.1, 0.2)])
-    assert tangents == ["tan"] * (5 * (4 * iterations + 4))
+    assert tangents == ["tan"] * (5 * (4 * iterations + 2))
 
 
 def test_model_gradient_encodes_once(tangents):
